@@ -117,8 +117,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer srv.Close()
 	if *walDir != "" {
 		rec := srv.Recovery()
-		fmt.Fprintf(stdout, "sumd: wal recovered records=%d snapshot=%t torn=%t truncated_bytes=%d\n",
-			rec.Records, rec.SnapshotLoaded, rec.Torn, rec.TruncatedBytes)
+		fmt.Fprintf(stdout, "sumd: wal recovered records=%d snapshot=%t torn=%t truncated_bytes=%d duration_ms=%.3f\n",
+			rec.Records, rec.SnapshotLoaded, rec.Torn, rec.TruncatedBytes, rec.DurationMS)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

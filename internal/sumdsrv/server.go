@@ -295,16 +295,16 @@ func New(opt Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		wlog, recovered, err := wal.Open(wal.Options{Dir: opt.WALDir, SegBytes: opt.WALSegBytes, Fsync: pol})
+		wlog, recovered, err := wal.Open(wal.Options{
+			Dir: opt.WALDir, SegBytes: opt.WALSegBytes, Fsync: pol,
+			OnSnapshot: s.applySnapshot, OnRecord: s.applyRecord,
+		})
 		if err != nil {
 			return nil, err
 		}
 		s.walFsync = pol
 		s.snapEvery = int64(opt.WALSnapshotEvery)
-		if err := s.recover(recovered); err != nil {
-			_ = wlog.Close()
-			return nil, err
-		}
+		s.recovery = newWALRecovery(recovered.Stats)
 		// Arm the journal only after replay: recovery applies records
 		// that are already in the log.
 		s.wal = wlog
@@ -956,6 +956,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("sumd_wal_recovered_records", "Records replayed at startup.", float64(s.recovery.Records))
 		p.Gauge("sumd_wal_recovered_truncated_bytes", "Torn-tail bytes dropped at startup.", float64(s.recovery.TruncatedBytes))
 		p.Gauge("sumd_wal_recovered_snapshot", "Whether a snapshot seeded recovery at startup.", b2f(s.recovery.SnapshotLoaded))
+		p.Gauge("sumd_wal_recovery_seconds", "Wall time of the startup replay.", s.recovery.DurationMS/1e3)
 	}
 	w.Header().Set("Content-Type", batch.PromContentType)
 	_, _ = w.Write(p.Bytes())

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -130,11 +131,23 @@ type WALStats struct {
 
 // WALRecovery describes what Open found when this process started.
 type WALRecovery struct {
-	SnapshotLoaded bool  `json:"snapshot_loaded"`
-	Segments       int   `json:"segments"`
-	Records        int   `json:"records"`
-	TruncatedBytes int64 `json:"truncated_bytes"`
-	Torn           bool  `json:"torn"`
+	SnapshotLoaded bool    `json:"snapshot_loaded"`
+	Segments       int     `json:"segments"`
+	Records        int     `json:"records"`
+	TruncatedBytes int64   `json:"truncated_bytes"`
+	Torn           bool    `json:"torn"`
+	DurationMS     float64 `json:"duration_ms"` // wall time of the whole replay
+}
+
+func newWALRecovery(st wal.RecoveryStats) WALRecovery {
+	return WALRecovery{
+		SnapshotLoaded: st.SnapshotLoaded,
+		Segments:       st.Segments,
+		Records:        st.Records,
+		TruncatedBytes: st.TruncatedBytes,
+		Torn:           st.Torn,
+		DurationMS:     float64(st.Duration) / float64(time.Millisecond),
+	}
 }
 
 // mergedResponse is the POST /v1/partial and /v1/keyed/partial payload.
@@ -234,43 +247,33 @@ func (s *Server) captureState() (*wal.Snapshot, error) {
 	return snap, nil
 }
 
-// recover seeds the server from what wal.Open reconstructed: snapshot
-// first, then the journaled records in order. Replay errors are
-// construction errors — they mean the directory belongs to a different
-// configuration (e.g. another engine), and silently dropping records
-// would break the durability contract.
-func (s *Server) recover(rec *wal.Recovered) error {
-	if snap := rec.Snapshot; snap != nil {
-		if len(snap.Global) > 0 {
-			if err := s.sh.MergeBytes(snap.Global); err != nil {
-				return fmt.Errorf("sumd: wal snapshot global state: %w", err)
-			}
-		}
-		if len(snap.Keyed) > 0 {
-			if err := s.keyed.ImportMerge(snap.Keyed); err != nil {
-				return fmt.Errorf("sumd: wal snapshot keyed state: %w", err)
-			}
-		}
-		if s.tokens != nil {
-			s.tokens.load(snap.Tokens)
+// applySnapshot and applyRecord are New's wal.Open replay hooks: the
+// snapshot seeds the fresh server first, then each journaled record is
+// applied as the scan reads it. Replay errors are construction errors —
+// they mean the directory belongs to a different configuration (e.g.
+// another engine), and silently dropping records would break the
+// durability contract.
+func (s *Server) applySnapshot(snap *wal.Snapshot) error {
+	if len(snap.Global) > 0 {
+		if err := s.sh.MergeBytes(snap.Global); err != nil {
+			return fmt.Errorf("global state: %w", err)
 		}
 	}
-	for i, r := range rec.Records {
-		if err := s.applyRecord(r); err != nil {
-			return fmt.Errorf("sumd: wal replay record %d (%s): %w", i, r.Type, err)
+	if len(snap.Keyed) > 0 {
+		if err := s.keyed.ImportMerge(snap.Keyed); err != nil {
+			return fmt.Errorf("keyed state: %w", err)
 		}
 	}
-	s.recovery = WALRecovery{
-		SnapshotLoaded: rec.Stats.SnapshotLoaded,
-		Segments:       rec.Stats.Segments,
-		Records:        rec.Stats.Records,
-		TruncatedBytes: rec.Stats.TruncatedBytes,
-		Torn:           rec.Stats.Torn,
+	if s.tokens != nil {
+		s.tokens.load(snap.Tokens)
 	}
 	return nil
 }
 
-// applyRecord replays one journaled mutation during recovery.
+// applyRecord replays one journaled mutation. r.Values and r.Blob alias
+// the scanner's buffers, so nothing here may keep them: the stores fold
+// values in and decode blobs into their own state, and tokens and keys
+// are string copies.
 func (s *Server) applyRecord(r wal.Record) error {
 	switch r.Type {
 	case wal.RecAdd:

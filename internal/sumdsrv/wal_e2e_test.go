@@ -13,12 +13,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"parsum"
+	"parsum/internal/batch"
 	"parsum/internal/gen"
 	"parsum/internal/sumdclient"
 	"parsum/internal/sumdsrv"
@@ -348,5 +350,70 @@ func TestWALAsyncConcurrentDurability(t *testing.T) {
 		if want := acc.Round(); math.Float64bits(kv) != math.Float64bits(want) {
 			t.Errorf("recovered key %q: %x, want %x", key, math.Float64bits(kv), math.Float64bits(want))
 		}
+	}
+}
+
+// TestFailedReplayLeavesWALUntouched journals a partial under the dense
+// engine and reopens the directory under sparse: the partial's replay
+// fails with an engine mismatch, New must name that record, and the
+// directory — torn tail and stale snapshot included — must come through
+// byte for byte, so the right configuration can still recover it.
+func TestFailedReplayLeavesWALUntouched(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	srv, c, hs := startServer(t, sumdsrv.Options{Shards: 2, WALDir: dir, WALFsync: "off"})
+	if err := c.AddBatch(ctx, []float64{1.5, 2.25}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.SnapshotPartial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushPartial(ctx, blob); err != nil {
+		t.Fatal(err)
+	}
+	hs.Close()
+	srv.Close()
+	// Damage a successful recovery would repair: a torn tail on the
+	// segment and a junk snapshot it would delete.
+	state := walBytes(t, dir)
+	for name, data := range state {
+		if strings.HasSuffix(name, ".seg") {
+			state[name] = append(data, 0xDE, 0xAD)
+		}
+	}
+	state["snap-0000000000000099.snap"] = []byte("PSWSjunk")
+	dir = restoreWAL(t, state)
+
+	_, err = sumdsrv.New(sumdsrv.Options{Engine: "sparse", Shards: 2, WALDir: dir, WALFsync: "off"})
+	if err == nil || !strings.Contains(err.Error(), "record 1 (partial)") {
+		t.Fatalf("New under a mismatched engine = %v, want an error naming record 1 (partial)", err)
+	}
+	if got := walBytes(t, dir); !reflect.DeepEqual(got, state) {
+		t.Fatal("a failed replay changed the WAL directory")
+	}
+
+	// The original configuration still recovers everything.
+	srv2, c2, hs2 := startServer(t, sumdsrv.Options{Shards: 2, WALDir: dir, WALFsync: "off"})
+	got, err := c2.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 7.5 {
+		t.Fatalf("recovered sum %v, want 7.5", got)
+	}
+	rec := srv2.Recovery()
+	if rec.Records != 2 || !rec.Torn || rec.DurationMS <= 0 {
+		t.Fatalf("recovery report %+v, want 2 records, torn, positive duration", rec)
+	}
+	if st := walStats(t, hs2.URL); st.Recovery != rec {
+		t.Fatalf("/v1/stats recovery %+v, want %+v", st.Recovery, rec)
+	}
+	fams, err := batch.LintProm(scrape(t, hs2.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fams["sumd_wal_recovery_seconds"]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != rec.DurationMS/1e3 {
+		t.Fatalf("/metrics sumd_wal_recovery_seconds = %+v, want one sample of %v", f, rec.DurationMS/1e3)
 	}
 }

@@ -3,7 +3,8 @@ package wal
 // FuzzWALReplay feeds hostile bytes to recovery as a segment file — the
 // PR-3 codec-gauntlet treatment for the durability path. Recovery must
 // never panic and never error on corruption (truncate-and-continue is
-// the contract), and the records it does accept must round-trip: re-
+// the contract), must hand the replay hook exactly the records it
+// counts, and the records it does accept must round-trip: re-
 // journaling them into a fresh log and recovering again yields the
 // same records. A second property pins the physical truncation: after
 // a torn recovery the log must accept appends and recover cleanly.
@@ -37,18 +38,26 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4, 9, 9, 9})
 	// Seed 5: empty file.
 	f.Add([]byte{})
+	// Seed 6: two frames larger than the reader buffer, the second torn
+	// inside its payload, so reads cross the buffer boundary. The same
+	// bytes are checked in as testdata seed-6; generating them here keeps
+	// the seed larger than readBufSize if that constant grows.
+	f.Add(bigTornSeg(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(Options{Dir: dir, Fsync: PolicyOff})
+		l, rec, err := openCollect(Options{Dir: dir, Fsync: PolicyOff})
 		if err != nil {
 			t.Fatalf("Open on hostile segment errored (must truncate instead): %v", err)
 		}
 		if rec.Stats.TruncatedBytes > int64(len(data)) {
 			t.Fatalf("truncated %d bytes of a %d-byte segment", rec.Stats.TruncatedBytes, len(data))
+		}
+		if len(rec.Records) != rec.Stats.Records {
+			t.Fatalf("hook saw %d records, stats count %d", len(rec.Records), rec.Stats.Records)
 		}
 
 		// The accepted prefix must be appendable: journal one more
@@ -60,7 +69,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		_, rec2, err := Open(Options{Dir: dir, Fsync: PolicyOff})
+		_, rec2, err := openCollect(Options{Dir: dir, Fsync: PolicyOff})
 		if err != nil {
 			t.Fatalf("re-Open: %v", err)
 		}
@@ -84,7 +93,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, rec3, err := Open(Options{Dir: dir2, Fsync: PolicyOff})
+		_, rec3, err := openCollect(Options{Dir: dir2, Fsync: PolicyOff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,4 +128,20 @@ func buildSeg(f *testing.F, fn func(*Log)) []byte {
 		f.Fatal(err)
 	}
 	return data
+}
+
+// bigTornSeg is two identical add frames, each larger than the reader
+// buffer, with the second cut halfway through its payload. Every value
+// is the bit pattern 0x6161616161616161 ("aaaaaaaa"), which keeps the
+// checked-in corpus file readable.
+func bigTornSeg(f *testing.F) []byte {
+	xs := make([]float64, readBufSize/8+512)
+	for i := range xs {
+		xs[i] = math.Float64frombits(0x6161616161616161)
+	}
+	data := buildSeg(f, func(l *Log) {
+		l.AppendBatch(xs, false)
+		l.AppendBatch(xs, false)
+	})
+	return data[:len(data)*3/4]
 }

@@ -25,11 +25,15 @@ package wal
 // the longest valid frame prefix.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"os"
+	"slices"
 )
 
 // Type tags one journaled record.
@@ -84,9 +88,10 @@ func (t Type) String() string {
 	return fmt.Sprintf("wal.Type(%d)", uint8(t))
 }
 
-// Record is one decoded journal entry. Values and Blob alias the
-// recovery read buffer only until the next record is decoded; recovery
-// copies are made by the scanner, so holding on to a Record is safe.
+// Record is one decoded journal entry. During recovery Values and Blob
+// alias the scanner's reused buffers: they are valid only until the
+// replay hook (Options.OnRecord) returns, so a hook that keeps either
+// must copy it. Key and Token are ordinary strings and may be kept.
 type Record struct {
 	Type   Type
 	Key    string    // RecKeyedAdd / RecKeyedSub
@@ -141,9 +146,10 @@ func encodeBlob(b []byte, t Type, token string, blob []byte) []byte {
 	return append(b, blob...)
 }
 
-// decodeRecord parses one frame payload into a Record, copying every
-// span out of the input so the caller may reuse its buffer.
-func decodeRecord(p []byte) (Record, error) {
+// decodeRecord parses one frame payload into a Record. Values decode
+// into *vals (grown as needed) and Blob aliases p, so the Record lives
+// only as long as both buffers go unreused; Key and Token are copies.
+func decodeRecord(p []byte, vals *[]float64) (Record, error) {
 	if len(p) == 0 {
 		return Record{}, fmt.Errorf("%w: empty payload", errBadFrame)
 	}
@@ -151,7 +157,7 @@ func decodeRecord(p []byte) (Record, error) {
 	p = p[1:]
 	switch t {
 	case RecAdd, RecSub:
-		xs, rest, err := decodeFloats(p)
+		xs, rest, err := decodeFloats(p, vals)
 		if err != nil || len(rest) != 0 {
 			return Record{}, fmt.Errorf("%w: %s body", errBadFrame, t)
 		}
@@ -161,7 +167,7 @@ func decodeRecord(p []byte) (Record, error) {
 		if err != nil {
 			return Record{}, fmt.Errorf("%w: %s key", errBadFrame, t)
 		}
-		xs, rest, err := decodeFloats(rest)
+		xs, rest, err := decodeFloats(rest, vals)
 		if err != nil || len(rest) != 0 {
 			return Record{}, fmt.Errorf("%w: %s body", errBadFrame, t)
 		}
@@ -179,9 +185,7 @@ func decodeRecord(p []byte) (Record, error) {
 		if uint64(len(rest)) != n {
 			return Record{}, fmt.Errorf("%w: %s trailing bytes", errBadFrame, t)
 		}
-		blob := make([]byte, n)
-		copy(blob, rest)
-		return Record{Type: t, Token: token, Blob: blob}, nil
+		return Record{Type: t, Token: token, Blob: rest[:n:n]}, nil
 	case RecReset:
 		if len(p) != 0 {
 			return Record{}, fmt.Errorf("%w: reset body not empty", errBadFrame)
@@ -199,7 +203,7 @@ func decodeString(p []byte, limit uint64) (s string, rest []byte, err error) {
 	return string(p[m : m+int(n)]), p[m+int(n):], nil
 }
 
-func decodeFloats(p []byte) (xs []float64, rest []byte, err error) {
+func decodeFloats(p []byte, buf *[]float64) (xs []float64, rest []byte, err error) {
 	n, m := binary.Uvarint(p)
 	if m <= 0 {
 		return nil, nil, errBadFrame
@@ -208,7 +212,8 @@ func decodeFloats(p []byte) (xs []float64, rest []byte, err error) {
 	if n > uint64(len(p))/8 {
 		return nil, nil, errBadFrame
 	}
-	xs = make([]float64, n)
+	*buf = slices.Grow((*buf)[:0], int(n))
+	xs = (*buf)[:n]
 	for i := range xs {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
@@ -222,34 +227,73 @@ func putFrameHeader(hdr []byte, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// scanFrames walks data frame by frame, calling fn with each valid
-// payload, and returns how many bytes formed the valid prefix. A length
-// field pointing past the end, an over-limit length, a CRC mismatch, or
-// an undecodable payload all end the scan there — the remainder is the
-// torn tail. fn's error aborts the scan and is returned as-is.
-func scanFrames(data []byte, fn func(payload []byte) error) (valid int64, err error) {
-	off := 0
-	for len(data)-off >= frameHeaderLen {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n > maxFrameLen || n > len(data)-off-frameHeaderLen {
-			break
-		}
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		payload := data[off+frameHeaderLen : off+frameHeaderLen+n]
-		if crc32.Checksum(payload, castagnoli) != want {
-			break
-		}
-		// Reject frames whose payload does not decode: a frame that
-		// passes CRC but not the record grammar was written by a
-		// different version or is corrupt in a way CRC cannot see;
-		// either way nothing after it can be trusted.
-		if _, derr := decodeRecord(payload); derr != nil {
-			break
-		}
-		if err := fn(payload); err != nil {
-			return int64(off), err
-		}
-		off += frameHeaderLen + n
+// readBufSize is the recovery reader's buffer. Frames larger than it
+// read straight into the payload buffer, so it bounds syscalls, not
+// correctness.
+const readBufSize = 16 << 10
+
+// scanner streams segment files frame by frame. The reader, payload and
+// value buffers are reused across frames and segments, so recovery
+// holds O(readBufSize + largest frame) bytes however long the journal
+// is — one blocked pass, like the external-memory summation scan.
+type scanner struct {
+	br      *bufio.Reader
+	payload []byte
+	vals    []float64
+}
+
+func newScanner() *scanner {
+	return &scanner{br: bufio.NewReaderSize(nil, readBufSize)}
+}
+
+// scan reads the segment at path, calling fn with each valid record in
+// order, and returns the length of its valid frame prefix and the file
+// size. A length field pointing past the end of the file, an over-limit
+// length, a CRC mismatch, or an undecodable payload all end the scan
+// there — the remainder is the torn tail. Read errors and fn's error
+// abort the scan and are returned.
+func (sc *scanner) scan(path string, fn func(Record) error) (valid, size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: opening segment %s: %w", path, err)
 	}
-	return int64(off), nil
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: stat segment %s: %w", path, err)
+	}
+	size = st.Size()
+	sc.br.Reset(f)
+	var hdr [frameHeaderLen]byte
+	for size-valid >= frameHeaderLen {
+		if _, err := io.ReadFull(sc.br, hdr[:]); err != nil {
+			return valid, size, fmt.Errorf("wal: reading segment %s: %w", path, err)
+		}
+		// The length is checked against what the file still holds before
+		// anything is allocated, so a hostile length field costs nothing.
+		n := int64(binary.LittleEndian.Uint32(hdr[:4]))
+		if n > maxFrameLen || n > size-valid-frameHeaderLen {
+			break
+		}
+		sc.payload = slices.Grow(sc.payload[:0], int(n))
+		payload := sc.payload[:n]
+		if _, err := io.ReadFull(sc.br, payload); err != nil {
+			return valid, size, fmt.Errorf("wal: reading segment %s: %w", path, err)
+		}
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+			break
+		}
+		// A frame that passes CRC but not the record grammar was written
+		// by a different version or is corrupt in a way CRC cannot see;
+		// either way nothing after it can be trusted.
+		r, derr := decodeRecord(payload, &sc.vals)
+		if derr != nil {
+			break
+		}
+		if err := fn(r); err != nil {
+			return valid, size, err
+		}
+		valid += frameHeaderLen + n
+	}
+	return valid, size, nil
 }

@@ -26,15 +26,18 @@
 //
 // # Recovery
 //
-// Open loads the newest valid snapshot, then replays segments from the
-// snapshot's base index in order, frame by frame. The first bad frame —
-// torn length, CRC mismatch, or undecodable payload — ends the log: the
-// segment is truncated there, later segments are removed, and the valid
-// prefix is returned for the caller to apply. This is exactly the
-// contract a crash mid-append requires: an acknowledged mutation was
-// durably framed before the ack, so it is in the prefix; an in-flight
-// mutation may fall either side, which is the standard "unacked is
-// unknown" durability semantics.
+// Open loads the newest valid snapshot and hands it to the caller's
+// replay hook, then streams segments from the snapshot's base index in
+// order, frame by frame, handing each decoded record to the hook as it
+// is read. Memory is one reader buffer plus the largest frame, whatever
+// the journal's length. The first bad frame — torn length, CRC
+// mismatch, or undecodable payload — ends the log: once the scan is
+// over, the segment is truncated there and later segments are removed.
+// This is exactly the contract a crash mid-append requires: an
+// acknowledged mutation was durably framed before the ack, so it is in
+// the prefix; an in-flight mutation may fall either side, which is the
+// standard "unacked is unknown" durability semantics. A hook error
+// aborts Open before the directory is changed.
 //
 // # Fsync
 //
@@ -111,6 +114,15 @@ type Options struct {
 	// Interval is the background fsync period under PolicyInterval.
 	// 0 means 100ms.
 	Interval time.Duration
+
+	// OnSnapshot receives the snapshot recovery loads, before any
+	// record. OnRecord then receives every record of the valid prefix,
+	// in journal order, as the scan decodes it; the Record's Values and
+	// Blob are valid only during the call. A nil hook means the recovered
+	// state is validated and counted but not delivered. An error from
+	// either hook aborts Open, which returns it wrapped.
+	OnSnapshot func(*Snapshot) error
+	OnRecord   func(Record) error
 }
 
 func (o Options) withDefaults() Options {
@@ -146,15 +158,15 @@ type RecoveryStats struct {
 	Records        int   // records in the valid prefix
 	TruncatedBytes int64 // torn-tail bytes dropped
 	Torn           bool  // a bad frame ended the scan early
+	// Duration is the wall time of the whole recovery, replay hooks
+	// included.
+	Duration time.Duration
 }
 
-// Recovered is everything Open reconstructed: the snapshot to seed
-// state from (nil when none), the journaled records after it, in
-// order, and the scan statistics.
+// Recovered reports what Open found. The state itself went to the
+// Options replay hooks as it was read.
 type Recovered struct {
-	Snapshot *Snapshot
-	Records  []Record
-	Stats    RecoveryStats
+	Stats RecoveryStats
 }
 
 // Log is the append side. Append* methods buffer frames; Commit writes
@@ -202,12 +214,16 @@ func parseIndex(name, prefix, suffix string) (int64, bool) {
 	return i, true
 }
 
-// Open recovers the log in opt.Dir (creating it when absent) and
+// Open recovers the log in opt.Dir (creating it when absent), streaming
+// the recovered state through opt.OnSnapshot and opt.OnRecord, and
 // returns the append handle positioned after the last valid frame.
 // Corruption is never an error from Open: the log is truncated to its
 // longest valid prefix and the damage is reported in Recovered.Stats.
-// Errors are reserved for real I/O failures and unreadable directories.
+// Errors are reserved for real I/O failures, unreadable directories,
+// and replay hook errors; on a hook error the directory is left as it
+// was found.
 func Open(opt Options) (*Log, *Recovered, error) {
+	start := time.Now()
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
 		return nil, nil, errors.New("wal: no directory given")
@@ -240,56 +256,61 @@ func Open(opt Options) (*Log, *Recovered, error) {
 		if err != nil {
 			continue
 		}
-		rec.Snapshot = snap
+		if opt.OnSnapshot != nil {
+			if err := opt.OnSnapshot(snap); err != nil {
+				return nil, nil, fmt.Errorf("wal: replaying snapshot %s: %w", snapName(snaps[i]), err)
+			}
+		}
 		rec.Stats.SnapshotLoaded = true
 		rec.Stats.SnapshotSeg = snaps[i]
 		base = snaps[i]
 		break
 	}
 
-	// Replay segments from base upward; the first bad frame truncates
-	// the log there and removes everything after it.
+	// Stream segments from base upward; the first bad frame ends the
+	// log. The directory is not touched until every hook has run.
+	sc := newScanner()
+	replay := func(r Record) error {
+		if opt.OnRecord != nil {
+			if err := opt.OnRecord(r); err != nil {
+				return fmt.Errorf("wal: replaying record %d (%s): %w", rec.Stats.Records, r.Type, err)
+			}
+		}
+		rec.Stats.Records++
+		return nil
+	}
 	active := base
-	torn := false
+	var tornAt int64
 	for _, si := range segs {
 		if si < base {
 			continue
 		}
-		if torn {
-			_ = os.Remove(filepath.Join(opt.Dir, segName(si)))
-			continue
-		}
-		path := filepath.Join(opt.Dir, segName(si))
-		data, err := os.ReadFile(path)
+		valid, size, err := sc.scan(filepath.Join(opt.Dir, segName(si)), replay)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: reading segment %s: %w", path, err)
+			return nil, nil, err
 		}
 		rec.Stats.Segments++
-		valid, _ := scanFrames(data, func(payload []byte) error {
-			r, err := decodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			rec.Records = append(rec.Records, r)
-			rec.Stats.Records++
-			return nil
-		})
 		active = si
-		if valid < int64(len(data)) {
-			rec.Stats.TruncatedBytes += int64(len(data)) - valid
+		if valid < size {
+			rec.Stats.TruncatedBytes = size - valid
 			rec.Stats.Torn = true
-			torn = true
-			if err := os.Truncate(path, valid); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-			}
+			tornAt = valid
+			break
 		}
 	}
 
-	// Drop segments below the snapshot base and superseded snapshots
-	// (best-effort; a crash between snapshot and cleanup leaves strays
-	// that are simply ignored and re-deleted here).
+	// Truncate the torn tail, then drop the segments after it, those
+	// below the snapshot base, and superseded snapshots (best-effort; a
+	// crash between snapshot and cleanup leaves strays that are simply
+	// ignored and re-deleted here).
+	if rec.Stats.Torn {
+		path := filepath.Join(opt.Dir, segName(active))
+		if err := os.Truncate(path, tornAt); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
+	}
 	for _, si := range segs {
-		if si < base {
+		if si < base || (rec.Stats.Torn && si > active) {
 			_ = os.Remove(filepath.Join(opt.Dir, segName(si)))
 		}
 	}
@@ -310,6 +331,7 @@ func Open(opt Options) (*Log, *Recovered, error) {
 		l.wg.Add(1)
 		go l.fsyncLoop()
 	}
+	rec.Stats.Duration = time.Since(start)
 	return l, rec, nil
 }
 

@@ -2,17 +2,48 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-func mustOpen(t *testing.T, opt Options) (*Log, *Recovered) {
-	t.Helper()
+// replayed is what Open streamed to its replay hooks, collected.
+type replayed struct {
+	Snapshot *Snapshot
+	Records  []Record // deep copies: hook Records alias the scanner's buffers
+	Stats    RecoveryStats
+}
+
+// openCollect is Open with hooks that collect everything replayed.
+func openCollect(opt Options) (*Log, *replayed, error) {
+	got := &replayed{}
+	opt.OnSnapshot = func(s *Snapshot) error {
+		got.Snapshot = s
+		return nil
+	}
+	opt.OnRecord = func(r Record) error {
+		r.Values = append([]float64(nil), r.Values...)
+		r.Blob = append([]byte(nil), r.Blob...)
+		got.Records = append(got.Records, r)
+		return nil
+	}
 	l, rec, err := Open(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	got.Stats = rec.Stats
+	return l, got, nil
+}
+
+func mustOpen(t *testing.T, opt Options) (*Log, *replayed) {
+	t.Helper()
+	l, rec, err := openCollect(opt)
 	if err != nil {
 		t.Fatalf("Open(%+v): %v", opt, err)
 	}
@@ -457,4 +488,184 @@ func TestSnapshotCRCMismatchFallsBack(t *testing.T) {
 	// snapshot to corruption after truncation is detectable, not
 	// silently wrong: recovery reports no snapshot.
 	checkRecovered(t, rec.Records, []Record{{Type: RecAdd, Values: []float64{3}}})
+}
+
+// TestReplayMemoryBounded is the streaming guard: recovering a 32 MiB
+// journal of 1024-value records must allocate on the order of one reader
+// buffer plus the largest frame, not on the order of the journal.
+func TestReplayMemoryBounded(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff, SegBytes: 4 << 20})
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = float64(i) + 0.5
+	}
+	const journalBytes = 32 << 20
+	records := 0
+	for l.Metrics().Bytes < journalBytes {
+		for i := 0; i < 16; i++ {
+			l.AppendBatch(xs, false)
+			records++
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := l.Metrics(); m.Segments < 4 {
+		t.Fatalf("journal spans %d segments, want several", m.Segments)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	counted := 0
+	opt := Options{Dir: dir, Fsync: PolicyOff, OnRecord: func(r Record) error {
+		if len(r.Values) != len(xs) {
+			t.Errorf("record %d has %d values, want %d", counted, len(r.Values), len(xs))
+		}
+		counted++
+		return nil
+	}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l2, rec, err := Open(opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if counted != records || rec.Stats.Records != records || rec.Stats.Torn {
+		t.Fatalf("replayed %d records (stats %+v), want %d", counted, rec.Stats, records)
+	}
+	frame := uint64(frameHeaderLen + 1 + 2 + 8*len(xs)) // type, varint(1024), values
+	limit := 4 * (frame + readBufSize)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Open allocated %d bytes replaying %d records in %d segments", grew, records, rec.Stats.Segments)
+	if grew > limit {
+		t.Fatalf("Open allocated %d bytes replaying a %d-byte journal; want <= %d (4 x (frame %d + reader buffer %d))",
+			grew, journalBytes, limit, frame, readBufSize)
+	}
+}
+
+// dirBytes reads every file in dir, for comparing directory states.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = data
+	}
+	return state
+}
+
+// TestReplayHookErrorLeavesDirUntouched: a hook error aborts Open with
+// the failing record's index, before the torn tail is truncated or any
+// stale file is deleted.
+func TestReplayHookErrorLeavesDirUntouched(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff, SegBytes: 1})
+	if err := l.WriteSnapshot(&Snapshot{Global: []byte{0xC7}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		l.AppendBatch([]float64{float64(i)}, false)
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	// A torn tail on the newest segment and a junk snapshot that a
+	// successful Open would truncate and delete.
+	ents, _ := os.ReadDir(dir)
+	newest := ""
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) == segSuffix && e.Name() > newest {
+			newest = e.Name()
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, newest), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xDE, 0xAD}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.WriteFile(filepath.Join(dir, snapName(99)), []byte("PSWSjunk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := dirBytes(t, dir)
+
+	boom := errors.New("boom")
+	seen := 0
+	_, _, err = Open(Options{Dir: dir, OnRecord: func(Record) error {
+		if seen == 1 {
+			return boom
+		}
+		seen++
+		return nil
+	}})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "record 1 ") {
+		t.Fatalf("record hook error surfaced as %v, want boom naming record 1", err)
+	}
+	if got := dirBytes(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("a failed record replay changed the WAL directory")
+	}
+
+	_, _, err = Open(Options{Dir: dir, OnSnapshot: func(*Snapshot) error { return boom }})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("snapshot hook error surfaced as %v, want boom naming the snapshot", err)
+	}
+	if got := dirBytes(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("a failed snapshot replay changed the WAL directory")
+	}
+
+	// With no failing hook the same directory recovers and is repaired.
+	_, rec := mustOpen(t, Options{Dir: dir})
+	if !rec.Stats.SnapshotLoaded || !rec.Stats.Torn || len(rec.Records) != 3 {
+		t.Fatalf("recovery after the failed attempts: %+v, %d records", rec.Stats, len(rec.Records))
+	}
+}
+
+// TestFramesLargerThanReaderBuffer replays frames that straddle and
+// exceed the reader buffer, then a copy torn inside the last payload.
+func TestFramesLargerThanReaderBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyOff})
+	var want []Record
+	for _, n := range []int{readBufSize/8 - 3, readBufSize/8 + 512, 3 * readBufSize / 8} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n*i) + 0.25
+		}
+		want = append(want, Record{Type: RecAdd, Values: xs})
+		l.AppendBatch(xs, false)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	full, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec := mustOpen(t, Options{Dir: dir})
+	checkRecovered(t, rec.Records, want)
+
+	tdir := t.TempDir()
+	writeSeg(t, tdir, 1, full[:len(full)-readBufSize])
+	_, rec = mustOpen(t, Options{Dir: tdir})
+	checkRecovered(t, rec.Records, want[:2])
+	lastFrame := int64(frameHeaderLen + 1 + 2 + 8*len(want[2].Values))
+	if !rec.Stats.Torn || rec.Stats.TruncatedBytes != lastFrame-readBufSize {
+		t.Fatalf("torn big frame: %+v, want %d bytes truncated", rec.Stats, lastFrame-readBufSize)
+	}
 }
