@@ -8,12 +8,11 @@
 //	sumbench -figure all -quick
 //	sumbench -figure engines                  # list the engine registry
 //	sumbench -figure parallel -jsonout BENCH_parallel.json
-//	sumbench -figure ingest -workerlist 1,2,4,8 -batches 1,64,4096
 //
 // Figures: f1 f2 f3 pram cond em carry radix sigma combiner seq parallel
-// ingest wire stream keyed engines all. The seq, parallel, ingest, wire,
-// and keyed figures enumerate the summation-engine registry, so newly
-// registered engines appear without harness changes. Unknown -figure or
+// stream engines all. The seq, parallel, and stream figures enumerate
+// the summation-engine registry, so newly registered engines appear
+// without harness changes. Unknown -figure or
 // -engines names exit with status 2 and print the valid names.
 package main
 
@@ -33,8 +32,7 @@ import (
 // (engines, the registry listing, is skipped by "all").
 var validFigures = []string{
 	"f1", "f2", "f3", "pram", "cond", "em", "carry", "radix", "sigma",
-	"combiner", "seq", "parallel", "ingest", "wire", "stream", "keyed",
-	"engines",
+	"combiner", "seq", "parallel", "stream", "engines",
 }
 
 func main() {
@@ -49,15 +47,11 @@ func main() {
 		split     = flag.Int("split", 1<<20, "elements per input split")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
 		quick     = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
-		engines   = flag.String("engines", "dense,sparse,small,large", "engines for the parallel and ingest figures")
-		batches   = flag.String("batches", "1,64,4096", "batch-size sweep for the ingest figure")
-		reps      = flag.Int("reps", 3, "repetitions per parallel/ingest/wire/stream cell (best-of)")
-		parts     = flag.Int("parts", 64, "combiner partials for the wire figure")
+		engines   = flag.String("engines", "dense,sparse,small,large", "engines for the parallel and stream figures")
+		reps      = flag.Int("reps", 3, "repetitions per parallel/stream cell (best-of)")
 		slots     = flag.String("slots", "1,4,16", "slot-count sweep for the stream figure")
 		buckets   = flag.String("buckets", "1024,65536", "bucket-size (values per eviction) sweep for the stream figure")
-		partsList = flag.String("partitions", "1,4,16", "partition-count sweep for the keyed figure")
-		keyCounts = flag.String("keys", "16,1024", "key-population sweep for the keyed figure")
-		jsonOut   = flag.String("jsonout", "", "write the parallel, ingest, or stream figure's snapshot as JSON to this file")
+		jsonOut   = flag.String("jsonout", "", "write the parallel or stream figure's snapshot as JSON to this file")
 	)
 	flag.Parse()
 
@@ -161,24 +155,6 @@ func main() {
 				data, err := snap.JSON()
 				writeJSON(data, err)
 			}
-		case "ingest":
-			sz := nn
-			if *quick {
-				sz = 1_000_000
-			}
-			bs := parseInts(*batches)
-			for _, v := range append(append([]int{}, wl...), bs...) {
-				if v < 1 {
-					fmt.Fprintf(os.Stderr, "ingest writer counts and batch sizes must be >= 1 (got %d)\n", v)
-					os.Exit(2)
-				}
-			}
-			snap := bench.IngestBench(sz, *delta, wl, bs, checkEngines(true), *reps)
-			show(snap.Table())
-			if *jsonOut != "" {
-				data, err := snap.JSON()
-				writeJSON(data, err)
-			}
 		case "stream":
 			sz := nn
 			if *quick {
@@ -205,35 +181,6 @@ func main() {
 				data, err := snap.JSON()
 				writeJSON(data, err)
 			}
-		case "keyed":
-			sz := nn
-			if *quick {
-				sz = 1_000_000
-			}
-			pl := parseInts(*partsList)
-			kc := parseInts(*keyCounts)
-			for _, v := range append(append([]int{}, pl...), kc...) {
-				if v < 1 {
-					fmt.Fprintf(os.Stderr, "keyed partition and key counts must be >= 1 (got %d)\n", v)
-					os.Exit(2)
-				}
-			}
-			snap := bench.KeyedBench(sz, *delta, pl, kc, checkEngines(true), *reps)
-			show(snap.Table())
-			if *jsonOut != "" {
-				data, err := snap.JSON()
-				writeJSON(data, err)
-			}
-		case "wire":
-			sz := nn
-			if *quick {
-				sz = 1_000_000
-			}
-			if *parts < 1 {
-				fmt.Fprintf(os.Stderr, "wire partial count must be >= 1 (got %d)\n", *parts)
-				os.Exit(2)
-			}
-			show(bench.WireBench(sz, *delta, checkEngines(false), *parts, *reps))
 		case "engines":
 			listEngines()
 		default:

@@ -8,14 +8,16 @@
 // Usage:
 //
 //	sumd -addr :8372 -engine dense -shards 8
-//	sumd -async -queue 512 -maxbatch 8192 -maxdelay 2ms
+//	sumd -async -queue 512 -maxbatch 8192
 //	sumd -partitions 16   # keyed-store stripes for /v1/add?key=…
 //
 // With -async, /v1/add and /v1/sub go through the batched ingestion
-// front-end: a bounded queue drained on a size-or-deadline trigger, 429
-// with Retry-After when the queue is full (sync ingestion remains the
-// default). Every ingest counter is served in Prometheus text format on
-// GET /metrics.
+// front-end: a bounded queue whose flusher takes everything already
+// queued, up to -maxbatch values, whenever it is free (group commit with
+// no added wait), and 429 with Retry-After when the queue is full (sync
+// ingestion remains the default). -maxdelay is accepted for old command
+// lines and ignored. Every ingest counter is served in Prometheus text
+// format on GET /metrics.
 //
 // With -wal DIR, every state-mutating request is journaled to an
 // append-only CRC-framed log in DIR and committed before it is
@@ -76,8 +78,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxBody  = fs.Int64("maxbody", 0, "request-body cap in bytes (0 = 64 MiB default)")
 		async    = fs.Bool("async", false, "batch /v1/add and /v1/sub through the bounded-queue ingestion front-end")
 		queue    = fs.Int("queue", 0, "async: bounded-queue capacity in requests (0 = 256)")
-		maxBatch = fs.Int("maxbatch", 0, "async: pending-value count that triggers a flush (0 = 4096)")
-		maxDelay = fs.Duration("maxdelay", 0, "async: latency budget before a deadline flush (0 = 2ms)")
+		maxBatch = fs.Int("maxbatch", 0, "async: most values one flush takes from the queue (0 = 4096)")
+		maxDelay = fs.Duration("maxdelay", 0, "async: ignored; flushes never wait (kept so old command lines parse)")
 		flushers = fs.Int("flushers", 0, "async: concurrent flusher goroutines (0 = 1)")
 		walDir   = fs.String("wal", "", "write-ahead-log directory; journal every ingest and recover on startup (empty = no durability)")
 		fsyncPol = fs.String("fsync", "", "wal: fsync policy: always, interval, or off (default always)")
@@ -105,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	srv, err := sumdsrv.New(sumdsrv.Options{
 		Engine: *engName, Shards: *shards, KeyPartitions: *parts, MaxBodyBytes: *maxBody,
-		Async: *async, QueueLen: *queue, MaxBatch: *maxBatch, MaxDelay: *maxDelay, Flushers: *flushers,
+		Async: *async, QueueLen: *queue, MaxBatch: *maxBatch, Flushers: *flushers,
 		WALDir: *walDir, WALFsync: *fsyncPol, WALSegBytes: *segBytes, WALSnapshotEvery: *snapN,
 	})
 	if err != nil {

@@ -1,13 +1,16 @@
 // Package batch implements the asynchronous ingestion front-end for the
-// aggregation service: a latency-budgeted batcher that sits between
-// request handlers and a sharded exact accumulator. Handlers enqueue
-// (values, reply) items into a bounded queue; flusher goroutines drain
-// it, coalescing admitted requests until either MaxBatch values are
-// pending or the MaxDelay deadline set by the oldest pending request
-// expires, then apply the whole group to the sink in one AddBatch /
-// SubBatch call and complete every reply. When the queue is full the
-// enqueue fails fast with ErrQueueFull and the accumulator is untouched,
-// so the caller can answer 429 instead of blocking the accept loop.
+// aggregation service: a group-commit batcher that sits between request
+// handlers and a sharded exact accumulator. Handlers enqueue
+// (values, reply) items into a bounded queue; a flusher goroutine blocks
+// for one request, takes whatever else is already queued without
+// waiting (up to MaxBatch values), applies the whole group to the sink
+// in one AddBatch / SubBatch call and completes every reply. Requests
+// that arrive while that flush runs form the next group, so the flush
+// itself clocks group commit: an idle batcher adds no wait, a busy one
+// coalesces exactly what queued up behind the previous flush. When the
+// queue is full the enqueue fails fast with ErrQueueFull and the
+// accumulator is untouched, so the caller can answer 429 instead of
+// blocking the accept loop.
 //
 // Batching is safe for exactness, not merely for throughput: the sink is
 // a superaccumulator (a commutative group under exact addition), so any
@@ -62,28 +65,21 @@ type SliceSink interface {
 }
 
 // Options configures a Batcher. The zero value is usable: queue of 256
-// requests, 4096-value flush threshold, 2ms latency budget, one flusher.
+// requests, 4096-value flush cap, one flusher.
 type Options struct {
 	// QueueLen bounds the number of admitted-but-unflushed requests;
 	// beyond it Add/Sub fail fast with ErrQueueFull. 0 means 256.
 	QueueLen int
-	// MaxBatch is the pending-value count that triggers an immediate
-	// flush. A single request larger than MaxBatch flushes alone. 0
-	// means 4096.
+	// MaxBatch caps the values one flush takes from the queue; a backlog
+	// larger than that splits into several flushes. A single request
+	// larger than MaxBatch flushes alone. 0 means 4096.
 	MaxBatch int
-	// MaxDelay is the latency budget: a flush happens no later than
-	// MaxDelay after the oldest pending request was picked up, even if
-	// MaxBatch was never reached. 0 means 2ms.
-	MaxDelay time.Duration
 	// Flushers is the number of concurrent flusher goroutines. More
 	// than one trades the single-flusher ordering guarantee for flush
 	// parallelism — harmless for exactness (the sink is a commutative
 	// group) and useful when one goroutine cannot saturate the sink.
 	// 0 means 1.
 	Flushers int
-	// Clock supplies time; nil means the wall clock. Tests inject a
-	// FakeClock to make deadline flushes deterministic.
-	Clock Clock
 }
 
 func (o Options) withDefaults() Options {
@@ -93,14 +89,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 4096
 	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
 	if o.Flushers <= 0 {
 		o.Flushers = 1
-	}
-	if o.Clock == nil {
-		o.Clock = RealClock{}
 	}
 	return o
 }
@@ -117,15 +107,7 @@ type item struct {
 
 var itemPool = sync.Pool{New: func() any { return &item{done: make(chan error, 1)} }}
 
-type flushCause int
-
-const (
-	flushSize flushCause = iota
-	flushDeadline
-	flushDrain
-)
-
-// Batcher is the bounded-queue, latency-budgeted ingestion front-end.
+// Batcher is the bounded-queue, group-commit ingestion front-end.
 // All methods are safe for concurrent use.
 type Batcher struct {
 	sink   Sink
@@ -259,9 +241,13 @@ func (b *Batcher) Close() {
 	})
 }
 
+// runFlusher blocks for one request, takes whatever else is already
+// queued without waiting, stopping once the group holds MaxBatch values,
+// and flushes the group. It never lingers for more traffic: requests
+// that arrive during a flush's apply and journal commit form the next
+// group.
 func (b *Batcher) runFlusher() {
 	defer b.wg.Done()
-	timer := b.opt.Clock.NewTimer()
 	var pending []*item
 	var sc scratch
 	for {
@@ -269,39 +255,22 @@ func (b *Batcher) runFlusher() {
 		case it := <-b.ch:
 			pending = append(pending, it)
 		case <-b.stop:
-			pending = drainQueued(b.ch, pending)
-			b.flush(pending, &sc, flushDrain)
+			b.flush(drainQueued(b.ch, pending), &sc, false)
 			return
 		}
-		// First member admitted: the latency budget starts now.
-		timer.Reset(b.opt.MaxDelay)
 		n := len(pending[0].values)
-		cause := flushSize
-		stopping := false
 	fill:
 		for n < b.opt.MaxBatch {
 			select {
 			case it := <-b.ch:
 				pending = append(pending, it)
 				n += len(it.values)
-			case <-timer.C():
-				cause = flushDeadline
-				break fill
-			case <-b.stop:
-				pending = drainQueued(b.ch, pending)
-				cause = flushDrain
-				stopping = true
+			default:
 				break fill
 			}
 		}
-		if cause != flushDeadline {
-			timer.Stop()
-		}
-		b.flush(pending, &sc, cause)
+		b.flush(pending, &sc, n >= b.opt.MaxBatch)
 		pending = pending[:0]
-		if stopping {
-			return
-		}
 	}
 }
 
@@ -334,8 +303,9 @@ type scratch struct {
 // one concatenated AddBatch and/or SubBatch — records the counters
 // under one lock, and then completes every reply. Replies come last,
 // so by the time a caller's Add returns, both the sink and the metrics
-// already reflect its batch.
-func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
+// already reflect its batch. capped reports that the group stopped at
+// MaxBatch values rather than emptying the queue.
+func (b *Batcher) flush(items []*item, sc *scratch, capped bool) {
 	if len(items) == 0 {
 		return
 	}
@@ -347,7 +317,7 @@ func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
 			keyedN++
 		}
 	}
-	start := b.opt.Clock.Now()
+	start := time.Now()
 	plain := items
 	if keyedN > 0 {
 		// Keyed requests exist only when the sink is a KeyedSink (AddKeyed
@@ -440,7 +410,7 @@ func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
 		}
 		sc.plain = plain[:0]
 	}
-	dur := b.opt.Clock.Now().Sub(start)
+	dur := time.Since(start)
 
 	b.mu.Lock()
 	b.m.Flushes++
@@ -451,12 +421,9 @@ func (b *Batcher) flush(items []*item, sc *scratch, cause flushCause) {
 	b.m.FlushNs += dur.Nanoseconds()
 	b.m.SizeHist[bucketIdx(SizeBuckets[:], float64(nv))]++
 	b.m.LatencyHist[bucketIdx(LatencyBuckets[:], dur.Seconds())]++
-	switch cause {
-	case flushSize:
+	if capped {
 		b.m.SizeFlushes++
-	case flushDeadline:
-		b.m.DeadlineFlushes++
-	case flushDrain:
+	} else {
 		b.m.DrainFlushes++
 	}
 	b.mu.Unlock()

@@ -1,14 +1,17 @@
-// Unit tests for the batcher: size- and deadline-triggered flushes
-// (driven by a FakeClock, so deadline behaviour is deterministic, not
-// sleep-calibrated), bounded-queue rejection with untouched state,
-// drain-on-Close, the zero-allocation enqueue hot path, and the
-// consistency invariants of the metrics snapshot under concurrency.
+// Unit tests for the batcher: drain-and-flush group commit (made
+// deterministic by a gated sink that holds one flush open while the next
+// group queues behind it, so no test depends on timing), MaxBatch
+// splitting a backlog into size flushes, bounded-queue rejection with
+// untouched state, drain-on-Close, the zero-allocation enqueue hot path,
+// and the consistency invariants of the metrics snapshot under
+// concurrency.
 package batch_test
 
 import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +32,13 @@ type recSink struct {
 
 	gate    chan struct{} // when non-nil, every call waits until it is closed
 	entered chan struct{} // when non-nil, every call signals here first
+}
+
+// gatedSink returns a recSink whose calls park until the test closes
+// gate. entered is buffered past any test's call count, so signalling
+// never blocks a flush.
+func gatedSink() *recSink {
+	return &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 64)}
 }
 
 func (r *recSink) apply(xs []float64, sub bool) {
@@ -58,6 +68,17 @@ func (r *recSink) snapshot() (adds, subs []float64, calls int) {
 	return append([]float64(nil), r.adds...), append([]float64(nil), r.subs...), len(r.calls)
 }
 
+// callLens returns the payload length of every sink call, in call order.
+func (r *recSink) callLens() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lens := make([]int, len(r.calls))
+	for i, c := range r.calls {
+		lens[i] = len(c)
+	}
+	return lens
+}
+
 // waitFor polls cond until it holds or the test deadline budget burns.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -78,102 +99,111 @@ func seq(lo, n int) []float64 {
 	return xs
 }
 
-// TestSizeFlushCoalesces proves the size trigger: with the clock frozen
-// (no deadline can ever fire), four concurrent 2-value requests must
-// coalesce into exactly one 8-value flush when MaxBatch is 8 — and
-// every Add returns only after that flush completed (group commit).
+// submit runs one Add or Sub in its own goroutine and delivers the
+// result on the returned channel.
+func submit(ctx context.Context, b *batch.Batcher, xs []float64, sub bool) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		if sub {
+			errc <- b.Sub(ctx, xs)
+		} else {
+			errc <- b.Add(ctx, xs)
+		}
+	}()
+	return errc
+}
+
+// holdFlush submits xs and returns once the flusher is parked inside the
+// gated sink with it. Until the gate opens, everything submitted later
+// waits in the queue and forms the next flush group.
+func holdFlush(b *batch.Batcher, sink *recSink, xs []float64) <-chan error {
+	errc := submit(context.Background(), b, xs, false)
+	<-sink.entered
+	return errc
+}
+
+func waitAll(t *testing.T, errcs ...<-chan error) {
+	t.Helper()
+	for i, errc := range errcs {
+		if err := <-errc; err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
+
+// TestSizeFlushCoalesces proves the MaxBatch cap: nine 2-value requests
+// queue behind a held flush, and with MaxBatch 8 they leave the queue as
+// two capped 8-value flushes (cause size) and one 2-value remainder that
+// empties the queue (cause drain). Each group is one sink call, and
+// every Add returns only after its flush completed (group commit).
 func TestSizeFlushCoalesces(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 8, MaxDelay: time.Hour, Clock: clk})
+	sink := gatedSink()
+	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 8})
 	defer b.Close()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := b.Add(context.Background(), seq(10*i, 2)); err != nil {
-				t.Errorf("Add: %v", err)
-			}
-		}(i)
+	errcs := []<-chan error{holdFlush(b, sink, seq(0, 2))}
+	for i := 1; i <= 9; i++ {
+		errcs = append(errcs, submit(context.Background(), b, seq(10*i, 2), false))
 	}
-	wg.Wait()
+	waitFor(t, "backlog to queue", func() bool { return b.Metrics().Enqueued == 10 })
+	close(sink.gate)
+	waitAll(t, errcs...)
 
-	adds, _, calls := sink.snapshot()
-	if calls != 1 || len(adds) != 8 {
-		t.Fatalf("got %d sink calls with %d total values, want 1 call with 8", calls, len(adds))
+	if got, want := sink.callLens(), []int{2, 8, 8, 2}; !slices.Equal(got, want) {
+		t.Fatalf("sink call sizes %v, want %v", got, want)
 	}
 	m := b.Metrics()
-	if m.SizeFlushes != 1 || m.DeadlineFlushes != 0 || m.Flushes != 1 {
-		t.Fatalf("flush causes: %+v, want exactly one size flush", m)
+	if m.Flushes != 4 || m.SizeFlushes != 2 || m.DrainFlushes != 2 {
+		t.Fatalf("flush causes: %+v, want 2 size and 2 drain flushes", m)
 	}
-	if m.FlushedRequests != 4 || m.FlushedValues != 8 || m.QueueDepth != 0 {
+	if m.FlushedRequests != 10 || m.FlushedValues != 20 || m.QueueDepth != 0 {
 		t.Fatalf("flush counters inconsistent: %+v", m)
 	}
 }
 
-// TestDeadlineFlushFakeClock proves the latency budget: a request
-// smaller than MaxBatch sits until the fake clock passes MaxDelay, then
-// flushes with cause=deadline. No sleeping, no flakiness: the test owns
-// time.
-func TestDeadlineFlushFakeClock(t *testing.T) {
+// TestLoneRequestFlushesAtOnce: with no other traffic and MaxBatch far
+// away, a request is applied and answered without waiting for company,
+// and the flush counts as a drain.
+func TestLoneRequestFlushesAtOnce(t *testing.T) {
 	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: 2 * time.Millisecond, Clock: clk})
+	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
-	errc := make(chan error, 1)
-	go func() { errc <- b.Add(context.Background(), seq(0, 3)) }()
-
-	clk.BlockUntilArmed(1)
-	if _, _, calls := sink.snapshot(); calls != 0 {
-		t.Fatal("flush happened before the deadline expired")
-	}
-	clk.Advance(2 * time.Millisecond)
-	if err := <-errc; err != nil {
+	if err := b.Add(context.Background(), seq(0, 3)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	adds, _, calls := sink.snapshot()
 	if calls != 1 || len(adds) != 3 {
 		t.Fatalf("got %d calls with %d values, want 1 with 3", calls, len(adds))
 	}
-	if m := b.Metrics(); m.DeadlineFlushes != 1 || m.SizeFlushes != 0 {
-		t.Fatalf("want exactly one deadline flush, got %+v", m)
+	if m := b.Metrics(); m.DrainFlushes != 1 || m.SizeFlushes != 0 {
+		t.Fatalf("want exactly one drain flush, got %+v", m)
 	}
 }
 
-// TestDeadlineFlushesFireInOrder drives two full deadline cycles and
-// asserts the sink saw the groups in submission order: the MaxDelay set
-// by the older group expires first.
-func TestDeadlineFlushesFireInOrder(t *testing.T) {
+// TestLoneRequestsApplyInOrder: successive lone requests each flush on
+// their own, and the sink sees them in submission order.
+func TestLoneRequestsApplyInOrder(t *testing.T) {
 	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: time.Millisecond, Clock: clk})
+	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
-	for round, vals := range [][]float64{seq(100, 2), seq(200, 2)} {
-		errc := make(chan error, 1)
-		vals := vals
-		go func() { errc <- b.Add(context.Background(), vals) }()
-		clk.BlockUntilArmed(1)
-		clk.Advance(time.Millisecond)
-		if err := <-errc; err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	for _, lo := range []int{100, 200, 300} {
+		if err := b.Add(context.Background(), seq(lo, 2)); err != nil {
+			t.Fatalf("Add(%d): %v", lo, err)
 		}
 	}
-	_, _, calls := sink.snapshot()
-	if calls != 2 {
-		t.Fatalf("got %d sink calls, want 2", calls)
-	}
 	sink.mu.Lock()
-	first, second := sink.calls[0][0], sink.calls[1][0]
-	sink.mu.Unlock()
-	if first != 100 || second != 200 {
-		t.Fatalf("deadline flushes out of order: first=%v second=%v", first, second)
+	var firsts []float64
+	for _, c := range sink.calls {
+		firsts = append(firsts, c[0])
 	}
-	if m := b.Metrics(); m.DeadlineFlushes != 2 {
-		t.Fatalf("want 2 deadline flushes, got %+v", m)
+	sink.mu.Unlock()
+	if len(firsts) != 3 || firsts[0] != 100 || firsts[1] != 200 || firsts[2] != 300 {
+		t.Fatalf("sink calls began with %v, want [100 200 300]", firsts)
+	}
+	if m := b.Metrics(); m.DrainFlushes != 3 || m.Flushes != 3 {
+		t.Fatalf("want 3 drain flushes, got %+v", m)
 	}
 }
 
@@ -182,10 +212,8 @@ func TestDeadlineFlushesFireInOrder(t *testing.T) {
 // ErrQueueFull, mutates nothing, and is invisible to the sink forever —
 // the exactness half of the 429 contract.
 func TestRejectLeavesStateUntouched(t *testing.T) {
-	gate := make(chan struct{})
-	sink := &recSink{gate: gate, entered: make(chan struct{}, 16)}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 2, MaxBatch: 1, MaxDelay: time.Hour, Clock: clk})
+	sink := gatedSink()
+	b := batch.New(sink, batch.Options{QueueLen: 2, MaxBatch: 1})
 	defer b.Close()
 
 	ctx := context.Background()
@@ -212,7 +240,7 @@ func TestRejectLeavesStateUntouched(t *testing.T) {
 		t.Fatalf("rejection mutated admission state: before %+v after %+v", before, after)
 	}
 
-	close(gate) // release the sink; everything admitted must complete
+	close(sink.gate) // release the sink; everything admitted must complete
 	for i := 0; i < 3; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("admitted Add failed: %v", err)
@@ -229,24 +257,28 @@ func TestRejectLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// TestSubSplitsFromAdds mixes insertions and deletions in one flush
-// group and asserts the batcher routes them to the right sink calls.
+// TestSubSplitsFromAdds queues insertions and deletions behind a held
+// flush so they form one group, and asserts the batcher routes that
+// group to one concatenated AddBatch and one SubBatch call.
 func TestSubSplitsFromAdds(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 6, MaxDelay: time.Hour, Clock: clk})
+	sink := gatedSink()
+	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 64})
 	defer b.Close()
 
-	var wg sync.WaitGroup
+	ctx := context.Background()
+	errcs := []<-chan error{holdFlush(b, sink, []float64{-1})}
 	for i := 0; i < 3; i++ {
-		wg.Add(2)
-		go func(i int) { defer wg.Done(); _ = b.Add(context.Background(), []float64{float64(i)}) }(i)
-		go func(i int) { defer wg.Done(); _ = b.Sub(context.Background(), []float64{float64(10 + i)}) }(i)
+		errcs = append(errcs,
+			submit(ctx, b, []float64{float64(i)}, false),
+			submit(ctx, b, []float64{float64(10 + i)}, true))
 	}
-	wg.Wait()
-	adds, subs, _ := sink.snapshot()
-	if len(adds) != 3 || len(subs) != 3 {
-		t.Fatalf("adds=%v subs=%v, want 3 each", adds, subs)
+	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 7 })
+	close(sink.gate)
+	waitAll(t, errcs...)
+
+	adds, subs, calls := sink.snapshot()
+	if len(adds) != 4 || len(subs) != 3 || calls != 3 {
+		t.Fatalf("adds=%v subs=%v in %d calls, want 4 adds and 3 subs in 3 calls", adds, subs, calls)
 	}
 	for _, v := range subs {
 		if v < 10 {
@@ -258,7 +290,7 @@ func TestSubSplitsFromAdds(t *testing.T) {
 // sliceSink records AddBatches/SubBatches groups, proving the batcher
 // prefers the zero-copy SliceSink path when the sink offers it.
 type sliceSink struct {
-	recSink
+	*recSink
 	groups [][]int // lengths of the slices in each AddBatches call
 }
 
@@ -279,61 +311,64 @@ func (s *sliceSink) SubBatches(batches [][]float64) {
 	}
 }
 
-// TestSliceSinkZeroCopyPath checks a multi-request flush arrives as one
-// AddBatches call carrying the request slices unconcatenated.
+// TestSliceSinkZeroCopyPath checks that requests queued behind a held
+// flush arrive in the next flush as one AddBatches call carrying the
+// request slices unconcatenated.
 func TestSliceSinkZeroCopyPath(t *testing.T) {
-	sink := &sliceSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 4, MaxDelay: time.Hour, Clock: clk})
+	sink := &sliceSink{recSink: gatedSink()}
+	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 64})
 	defer b.Close()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); _ = b.Add(context.Background(), seq(10*i, 2)) }(i)
+	errcs := []<-chan error{holdFlush(b, sink.recSink, seq(0, 2))}
+	for i := 1; i <= 3; i++ {
+		errcs = append(errcs, submit(context.Background(), b, seq(10*i, 2), false))
 	}
-	wg.Wait()
+	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 4 })
+	close(sink.gate)
+	waitAll(t, errcs...)
+
 	sink.mu.Lock()
 	groups := sink.groups
 	sink.mu.Unlock()
-	if len(groups) != 1 || len(groups[0]) != 2 || groups[0][0] != 2 || groups[0][1] != 2 {
-		t.Fatalf("want one AddBatches group of two 2-value slices, got %v", groups)
+	if len(groups) != 1 || !slices.Equal(groups[0], []int{2, 2, 2}) {
+		t.Fatalf("want one AddBatches group of three 2-value slices, got %v", groups)
+	}
+	if m := b.Metrics(); m.Flushes != 2 || m.DrainFlushes != 2 {
+		t.Fatalf("want the held flush plus one drain flush, got %+v", m)
 	}
 }
 
-// TestCloseDrainsEverythingAdmitted parks many requests behind a frozen
-// clock and a huge MaxBatch, then closes: every admitted request must
-// complete with nil (its values applied) and post-Close submissions must
-// fail with ErrClosed.
+// TestCloseDrainsEverythingAdmitted parks a full queue of requests behind
+// a held flush, then closes: every admitted request must complete with
+// nil (its values applied) and post-Close submissions must fail with
+// ErrClosed.
 func TestCloseDrainsEverythingAdmitted(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 64, MaxBatch: 1 << 20, MaxDelay: time.Hour, Clock: clk})
-
 	const reqs = 32
-	var wg sync.WaitGroup
-	errs := make([]error, reqs)
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Add(context.Background(), seq(i, 1))
-		}(i)
+	sink := gatedSink()
+	b := batch.New(sink, batch.Options{QueueLen: reqs - 1, MaxBatch: 1 << 20})
+
+	errcs := []<-chan error{holdFlush(b, sink, seq(0, 1))}
+	for i := 1; i < reqs; i++ {
+		errcs = append(errcs, submit(context.Background(), b, seq(i, 1), false))
 	}
 	waitFor(t, "all requests admitted", func() bool { return b.Metrics().Enqueued == reqs })
-	b.Close()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("admitted request %d got %v after Close, want nil", i, err)
-		}
-	}
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	// The queue is full, so until Close stops admission a probe is shed
+	// with ErrQueueFull and leaves nothing behind.
+	waitFor(t, "Close to stop admission", func() bool {
+		return b.Add(context.Background(), []float64{1}) == batch.ErrClosed
+	})
+	close(sink.gate)
+	<-closed
+	waitAll(t, errcs...)
+
 	adds, _, _ := sink.snapshot()
 	if len(adds) != reqs {
 		t.Fatalf("sink saw %d values, want %d", len(adds), reqs)
 	}
 	m := b.Metrics()
-	if m.DrainFlushes == 0 || m.QueueDepth != 0 || m.FlushedRequests != reqs {
+	if m.DrainFlushes != m.Flushes || m.QueueDepth != 0 || m.FlushedRequests != reqs {
 		t.Fatalf("drain metrics inconsistent: %+v", m)
 	}
 	if err := b.Add(context.Background(), []float64{1}); err != batch.ErrClosed {
@@ -368,7 +403,7 @@ func TestSubmitZeroAlloc(t *testing.T) {
 			total += v
 		}
 	})
-	b := batch.New(sink, batch.Options{QueueLen: 8, MaxBatch: 1, MaxDelay: time.Millisecond})
+	b := batch.New(sink, batch.Options{QueueLen: 8, MaxBatch: 1})
 	defer b.Close()
 	ctx := context.Background()
 	xs := []float64{1, 2, 3, 4}
@@ -407,7 +442,7 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batch.New(s, batch.Options{QueueLen: 8, MaxBatch: 64, MaxDelay: 200 * time.Microsecond, Flushers: 2})
+	b := batch.New(s, batch.Options{QueueLen: 8, MaxBatch: 64, Flushers: 2})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -447,7 +482,7 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 		if got := m.Enqueued - m.FlushedRequests; m.QueueDepth != got || m.QueueDepth < 0 {
 			t.Fatalf("QueueDepth %d != Enqueued-FlushedRequests %d", m.QueueDepth, got)
 		}
-		if m.SizeFlushes+m.DeadlineFlushes+m.DrainFlushes != m.Flushes {
+		if m.SizeFlushes+m.DrainFlushes != m.Flushes {
 			t.Fatalf("flush causes don't sum: %+v", m)
 		}
 		var hist int64
@@ -473,7 +508,7 @@ func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batch.New(s, batch.Options{QueueLen: 4, MaxBatch: 32, MaxDelay: 100 * time.Microsecond, Flushers: 2})
+	b := batch.New(s, batch.Options{QueueLen: 4, MaxBatch: 32, Flushers: 2})
 
 	const workers, perWorker = 4, 200
 	accepted := make([][]float64, workers)
@@ -531,29 +566,27 @@ func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 }
 
 // TestContextAbandonStillApplies: a caller that gives up waiting gets
-// ctx.Err(), but its admitted batch is still applied exactly once.
+// ctx.Err(), but its admitted batch is still applied exactly once. The
+// request waits behind a held flush, so it is still queued when its
+// caller gives up.
 func TestContextAbandonStillApplies(t *testing.T) {
-	sink := &recSink{}
-	clk := batch.NewFakeClock()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20, MaxDelay: time.Millisecond, Clock: clk})
+	sink := gatedSink()
+	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
+	held := holdFlush(b, sink, []float64{1})
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- b.Add(ctx, []float64{42}) }()
-	waitFor(t, "admission", func() bool { return b.Metrics().Enqueued == 1 })
+	errc := submit(ctx, b, []float64{42}, false)
+	waitFor(t, "admission", func() bool { return b.Metrics().Enqueued == 2 })
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("abandoned Add: got %v, want context.Canceled", err)
 	}
-	clk.BlockUntilArmed(1)
-	clk.Advance(time.Millisecond)
-	waitFor(t, "abandoned batch to flush", func() bool {
-		_, _, calls := sink.snapshot()
-		return calls == 1
-	})
+	close(sink.gate)
+	waitAll(t, held)
+	waitFor(t, "abandoned batch to flush", func() bool { return b.Metrics().FlushedRequests == 2 })
 	adds, _, _ := sink.snapshot()
-	if len(adds) != 1 || adds[0] != 42 {
+	if len(adds) != 2 || adds[1] != 42 {
 		t.Fatalf("abandoned batch not applied exactly once: %v", adds)
 	}
 }

@@ -34,7 +34,6 @@ func FuzzBatcherInterleave(f *testing.F) {
 		opt := batch.Options{
 			QueueLen: 1 + int(data[0]%8),
 			MaxBatch: 1 + int(data[1]%64),
-			MaxDelay: 200 * time.Microsecond,
 			Flushers: 1 + int(data[2]%2),
 		}
 		shards := 1 + int(data[3]%4)

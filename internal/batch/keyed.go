@@ -2,8 +2,8 @@ package batch
 
 // Keyed ingestion through the batcher: AddKeyed/SubKeyed submit
 // (key, values) requests into the same bounded queue as Add/Sub, so
-// keyed and single-sum traffic share admission control, the latency
-// budget, and group commit. A flush that coalesced both kinds applies
+// keyed and single-sum traffic share admission control and group
+// commit. A flush that coalesced both kinds applies
 // the keyed share with one AddKeyedBatches/SubKeyedBatches pair —
 // grouped by store partition inside the sink — and the unkeyed share
 // through the usual SliceSink path. Exactness is per key: however the

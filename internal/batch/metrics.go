@@ -13,7 +13,7 @@ var LatencyBuckets = [...]float64{100e-6, 500e-6, 1e-3, 5e-3, 25e-3, 100e-3, 1}
 // out under the same mutex, so a snapshot is internally consistent: the
 // invariants below hold in every snapshot, not just quiescent ones.
 //
-//	Flushes == SizeFlushes + DeadlineFlushes + DrainFlushes
+//	Flushes == SizeFlushes + DrainFlushes
 //	FlushedRequests <= Enqueued
 //	FlushedValues   <= EnqueuedValues
 //	QueueDepth      == Enqueued - FlushedRequests  (and >= 0)
@@ -29,9 +29,8 @@ type Metrics struct {
 	Flushes         int64 // sink flushes performed
 	FlushedRequests int64 // requests completed by a flush
 	FlushedValues   int64 // float64s handed to the sink
-	SizeFlushes     int64 // flushes triggered by MaxBatch
-	DeadlineFlushes int64 // flushes triggered by MaxDelay
-	DrainFlushes    int64 // flushes triggered by Close
+	SizeFlushes     int64 // flushes that stopped at MaxBatch values
+	DrainFlushes    int64 // flushes that took everything queued (Close's included)
 
 	KeyedFlushedRequests int64 // subset of FlushedRequests that carried a key
 

@@ -11,7 +11,7 @@ func buildExposition(reqs int64) []byte {
 	w.Gauge("app_up", "whether the app is up", 1)
 	w.Counter("app_requests_total", "requests served", float64(reqs))
 	w.CounterVec("app_flush_cause_total", "flushes by cause", "cause",
-		map[string]float64{"size": float64(reqs / 2), "deadline": float64(reqs / 4)})
+		map[string]float64{"size": float64(reqs / 2), "drain": float64(reqs / 4)})
 	counts := []int64{reqs, 2, 1, 0}
 	w.Histogram("app_flush_size", "values per flush", []float64{8, 64, 256}, counts, float64(reqs*3))
 	return w.Bytes()

@@ -25,7 +25,7 @@ type StreamPoint struct {
 }
 
 // StreamSnapshot is the recorded result of StreamBench, written by
-// `sumbench -figure stream -jsonout` like the parallel and ingest figures.
+// `sumbench -figure stream -jsonout` like the parallel figure.
 type StreamSnapshot struct {
 	N          int64         `json:"n"`
 	Delta      int           `json:"delta"`
@@ -43,7 +43,7 @@ type StreamSnapshot struct {
 // bit-identical to the engine's one-shot sum of that range — a throughput
 // number for a drifting window would be meaningless, so a mismatch panics.
 // Engines must be registered and Invertible (StreamBench panics otherwise,
-// mirroring IngestBench's fail-loudly-before-timing policy).
+// failing loudly before anything is timed).
 func StreamBench(n int64, delta int, slotCounts, bucketSizes []int, engines []string, reps int) StreamSnapshot {
 	if reps < 1 {
 		reps = 1

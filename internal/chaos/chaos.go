@@ -247,11 +247,9 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	case v5xx:
 		return synthesized503(req), nil
 	case vLatency:
-		t := time.NewTimer(delay)
 		select {
-		case <-t.C:
+		case <-time.After(delay):
 		case <-req.Context().Done():
-			t.Stop()
 			return nil, req.Context().Err()
 		}
 		return in.next.RoundTrip(req)

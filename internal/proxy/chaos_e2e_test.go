@@ -58,7 +58,6 @@ func runGauntlet(t *testing.T, seed uint64, async, partition bool) {
 		opt.Async = true
 		opt.QueueLen = 256
 		opt.MaxBatch = 64
-		opt.MaxDelay = time.Millisecond
 	}
 	f := startFleet(t, 3, opt)
 	// Re-arm each backend's injector with a real fault mix. Distinct

@@ -126,10 +126,8 @@ func ErrorStatus(err error) int {
 func (c *Client) Retried429() int64 { return c.retried.Load() }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-time.After(d):
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -165,14 +163,14 @@ func (c *Client) doIdem(ctx context.Context, method, path, contentType, token st
 // backoff returns the delay before retry number attempt (0-based):
 // RetryBase<<attempt with full jitter (uniform in [d/2, d]), capped at
 // RetryMax and at the server's Retry-After hint when one was given —
-// the hint is an upper bound on useful waiting, since the ingest queue
-// drains at least once per MaxDelay which the hint over-approximates in
-// whole seconds. A hint of exactly zero means "retry immediately"
-// (RFC 9110 allows it, and a drained queue serves the re-send at once),
-// so the backoff curve is skipped entirely. Jitter comes from the
-// per-client seam, not the global math/rand source, so seeding
-// elsewhere in the process cannot correlate the retry storms of
-// independent clients.
+// the hint is an upper bound on useful waiting, since sumd's ingest
+// queue frees up as soon as its running flush completes, well inside
+// the one second sumd sends. A hint of exactly zero means "retry
+// immediately" (RFC 9110 allows it, and a drained queue serves the
+// re-send at once), so the backoff curve is skipped entirely. Jitter
+// comes from the per-client seam, not the global math/rand source, so
+// seeding elsewhere in the process cannot correlate the retry storms
+// of independent clients.
 //
 // The doubling stops at the cap instead of shifting blindly: the old
 // `base << min(attempt, 20)` could put a 2ms base to sleep for over

@@ -40,7 +40,6 @@ func TestAsyncE2E(t *testing.T) {
 				Async:    true,
 				QueueLen: 2, // tight: concurrent clients WILL collide
 				MaxBatch: 512,
-				MaxDelay: time.Millisecond,
 				Flushers: 2,
 			})
 			c.Retry429 = retries
@@ -122,7 +121,7 @@ func TestAsyncE2E(t *testing.T) {
 				t.Errorf("shards=%d retries=%d: server rejected %d > client retries %d + manual %d + failures %d",
 					shards, retries, got, c.Retried429(), totalManual, totalRejected)
 			}
-			if retries > 0 && st.Async.DeadlineFlushes == 0 && st.Async.SizeFlushes == 0 {
+			if retries > 0 && st.Async.Flushes == 0 {
 				t.Errorf("shards=%d: no flushes recorded at all: %+v", shards, st.Async)
 			}
 			if st.Async.FlushedRequests != st.Async.Enqueued || st.Async.QueueDepth != 0 {
@@ -192,7 +191,7 @@ func scrape(t *testing.T, base string) []byte {
 // the scrapes.
 func TestMetricsLint(t *testing.T) {
 	c, hs := startService(t, sumdsrv.Options{
-		Shards: 2, Async: true, QueueLen: 4, MaxBatch: 64, MaxDelay: time.Millisecond,
+		Shards: 2, Async: true, QueueLen: 4, MaxBatch: 64,
 	})
 	ctx := context.Background()
 	c.Retry429 = 50
@@ -231,6 +230,12 @@ func TestMetricsLint(t *testing.T) {
 	if err := batch.CheckMonotone(first, second); err != nil {
 		t.Fatalf("counters not monotone across scrapes: %v", err)
 	}
+	// /v1/stats carries the same cause ledger; deadline_flushes repeats
+	// drain_flushes for the benchmark's batch.deadline_share.
+	if st := fetchStats(t, hs.URL).Async; st.Flushes != st.SizeFlushes+st.DrainFlushes ||
+		st.DrainFlushes == 0 || st.DeadlineFlushes != st.DrainFlushes {
+		t.Fatalf("flush causes %+v: want flushes == size+drain, drain > 0, deadline == drain", st)
+	}
 
 	// Sync mode must also serve a conformant (smaller) exposition.
 	_, syncSrv := startService(t, sumdsrv.Options{Shards: 1})
@@ -267,15 +272,14 @@ func (g *gatedSink) SubBatch(xs []float64) { g.real.SubBatch(xs) }
 // TestRejectedRequestLeavesServiceUntouched pins the 429 contract over
 // real HTTP, deterministically: a gated sink holds request A's flush
 // open, request B fills the single queue slot, so request C MUST be
-// shed — with a usable Retry-After, and without leaving any trace in
-// the sum or the accepted ledger.
+// shed — with Retry-After: 1, and without leaving any trace in the sum
+// or the accepted ledger.
 func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
 	gs := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
 	c, hs := startService(t, sumdsrv.Options{
 		Shards: 1, Async: true,
 		QueueLen: 1,
 		MaxBatch: 1, // flush each request alone, immediately
-		MaxDelay: time.Second,
 		WrapSink: func(real batch.Sink) batch.Sink { gs.real = real; return gs },
 	})
 	ctx := context.Background()
@@ -310,8 +314,8 @@ func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("wedged add: got %s, want 429", resp.Status)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("429 without a usable Retry-After (got %q)", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("429 Retry-After = %q, want the constant 1", ra)
 	}
 
 	close(gs.gate) // release the parked flush; A and B must now commit
@@ -351,7 +355,7 @@ func TestRejectedRequestLeavesServiceUntouched(t *testing.T) {
 func TestResetRacingFlushes(t *testing.T) {
 	c, hs := startService(t, sumdsrv.Options{
 		Shards: 4, Async: true,
-		QueueLen: 16, MaxBatch: 64, MaxDelay: 200 * time.Microsecond,
+		QueueLen: 16, MaxBatch: 64,
 	})
 	ctx := context.Background()
 	c.Retry429 = 100

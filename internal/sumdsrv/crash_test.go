@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -110,7 +109,6 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				opt.Async = true
 				opt.QueueLen = 16
 				opt.MaxBatch = 64
-				opt.MaxDelay = time.Millisecond
 			}
 			c, _ := startService(t, opt)
 			ctx := context.Background()

@@ -1,6 +1,8 @@
 // Degraded-health e2e: a WAL durability failure must flip /v1/healthz
 // and /v1/readyz to 503 — "acked ⇒ durable" is never silently violated
-// — and a subsequent durable success must restore 200.
+// — and a subsequent durable success must restore 200. A sync write
+// whose commit failed must still be applied, because the journal writes
+// its frame with the next successful commit.
 package sumdsrv_test
 
 import (
@@ -9,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -91,6 +94,57 @@ func TestHealthDegradesOnWALFailure(t *testing.T) {
 	}
 	if st, _ := getStatus(t, hs.URL+"/v1/readyz"); st != http.StatusOK {
 		t.Fatalf("recovered readyz = %d, want 200", st)
+	}
+}
+
+// TestSyncCommitFailureStillApplies: a failed commit leaves the frame
+// pending in the journal, and the next successful commit writes it. So
+// a sync write answered 500 must already be in the live state, or the
+// sum would change across a restart.
+func TestSyncCommitFailureStillApplies(t *testing.T) {
+	dir := t.TempDir()
+	opt := sumdsrv.Options{WALDir: dir, WALFsync: "always", WALSegBytes: 1}
+	srv, c, hs := startServer(t, opt)
+	ctx := context.Background()
+	// SegBytes 1 rotates before every commit but the first; a directory
+	// squatting on the next segment's name makes that rotation fail.
+	block := filepath.Join(dir, "wal-0000000000000002.seg")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBatch(ctx, []float64{1}); err != nil {
+		t.Fatalf("add before the failure: %v", err)
+	}
+	failed := c.AddBatch(ctx, []float64{100})
+	if failed == nil || !strings.Contains(failed.Error(), "HTTP 500") {
+		t.Fatalf("add whose commit fails: err = %v, want HTTP 500", failed)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBatch(ctx, []float64{10000}); err != nil {
+		t.Fatalf("add after clearing the failure: %v", err)
+	}
+	live, err := c.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != 10101 {
+		t.Fatalf("live sum = %v, want 10101: the batch answered 500 is missing", live)
+	}
+	if !strings.Contains(failed.Error(), "applied") {
+		t.Fatalf("500 body %q does not say the batch was applied", failed)
+	}
+
+	hs.Close()
+	srv.Close()
+	_, c2, _ := startServer(t, opt)
+	recovered, err := c2.Sum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered != live {
+		t.Fatalf("sum after restart = %v, live sum was %v", recovered, live)
 	}
 }
 

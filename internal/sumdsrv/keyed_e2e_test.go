@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -39,7 +38,6 @@ func TestKeyedE2EBitIdentical(t *testing.T) {
 				opt.Async = true
 				opt.QueueLen = 256
 				opt.MaxBatch = 64
-				opt.MaxDelay = time.Millisecond
 			}
 			c, hs := startService(t, opt)
 			ctx := context.Background()
@@ -396,7 +394,7 @@ func (p plainOnlySink) SubBatch(xs []float64) { p.real.SubBatch(xs) }
 func TestKeyedE2EAsync501WhenSinkHidesKeyed(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startService(t, sumdsrv.Options{
-		Async: true, QueueLen: 8, MaxBatch: 8, MaxDelay: time.Millisecond,
+		Async: true, QueueLen: 8, MaxBatch: 8,
 		WrapSink: func(real batch.Sink) batch.Sink { return plainOnlySink{real: real} },
 	})
 	err := c.AddKeyed(ctx, "k", []float64{1})

@@ -38,16 +38,17 @@
 //
 // With Options.Async, /v1/add and /v1/sub stop walking the accumulator
 // under the request goroutine and instead enqueue into an internal/batch
-// Batcher: a bounded queue drained by flusher goroutines on a
-// size-or-deadline trigger (Options.MaxBatch, Options.MaxDelay). The
-// handler replies 200 only after the flush containing its values has
-// completed (group commit), so "accepted" still means "applied": any sum
-// requested after a 200 observes those values, and the exactness
-// guarantee is unchanged — batching only regroups additions inside a
-// commutative group. When the queue is full the request is rejected
-// immediately with 429 and a Retry-After hint, accumulated state
-// untouched, so ingest overload degrades to shed load rather than to
-// unbounded queueing.
+// Batcher: a bounded queue whose flusher takes everything already queued
+// (up to Options.MaxBatch values) the moment it is free, so requests
+// that arrive during one flush's apply and journal commit form the next
+// group. The handler replies 200 only after the flush containing its
+// values has completed (group commit), so "accepted" still means
+// "applied": any sum requested after a 200 observes those values, and
+// the exactness guarantee is unchanged — batching only regroups
+// additions inside a commutative group. When the queue is full the
+// request is rejected immediately with 429 and "Retry-After: 1",
+// accumulated state untouched, so ingest overload degrades to shed load
+// rather than to unbounded queueing.
 package sumdsrv
 
 import (
@@ -98,12 +99,11 @@ type Options struct {
 	// front-end (see the package comment). Off by default: the sync
 	// path remains the escape hatch.
 	Async bool
-	// QueueLen, MaxBatch, MaxDelay and Flushers configure the batcher
-	// when Async is set (0 means the internal/batch defaults: 256
-	// requests, 4096 values, 2ms, 1 flusher). Ignored in sync mode.
+	// QueueLen, MaxBatch and Flushers configure the batcher when Async
+	// is set (0 means the internal/batch defaults: 256 requests, 4096
+	// values, 1 flusher). Ignored in sync mode.
 	QueueLen int
 	MaxBatch int
-	MaxDelay time.Duration
 	Flushers int
 	// WrapSink, when non-nil, wraps the accumulator before the batcher
 	// attaches to it. Test seam: e2e tests interpose a gated sink to
@@ -236,11 +236,6 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	maxBody int64
-	// retryAfter is the precomputed Retry-After header value for 429
-	// responses: the queue drains at least every MaxDelay, so waiting
-	// that long (rounded up to the header's 1s granularity) is always
-	// enough.
-	retryAfter string
 
 	// Durability (nil / zero when Options.WALDir is empty). applyMu is
 	// held shared around every journal+apply pair and exclusively by
@@ -333,14 +328,8 @@ func New(opt Options) (*Server, error) {
 		s.bat = batch.New(sink, batch.Options{
 			QueueLen: opt.QueueLen,
 			MaxBatch: opt.MaxBatch,
-			MaxDelay: opt.MaxDelay,
 			Flushers: opt.Flushers,
 		})
-		secs := int64(math.Ceil((2 * s.bat.Options().MaxDelay).Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		s.retryAfter = strconv.FormatInt(secs, 10)
 	}
 	s.mux.HandleFunc("POST /v1/add", s.handleAdd)
 	s.mux.HandleFunc("POST /v1/sub", s.handleSub)
@@ -454,12 +443,16 @@ type KeyedStats struct {
 }
 
 // AsyncStats is the batcher's configuration and counter snapshot inside
-// StatsResponse (async mode only).
+// StatsResponse (async mode only). Flushes == SizeFlushes + DrainFlushes.
+//
+// DeadlineFlushes repeats DrainFlushes. It is the old linger's name for
+// a flush that shipped fewer than MaxBatch values, and it stays only
+// because benchmark/metrics.go reads it as batch.deadline_share. Delete
+// it when the benchmark reads DrainFlushes instead (see ROADMAP.md).
 type AsyncStats struct {
-	QueueLen   int     `json:"queue_len"`
-	MaxBatch   int     `json:"max_batch"`
-	MaxDelayMs float64 `json:"max_delay_ms"`
-	Flushers   int     `json:"flushers"`
+	QueueLen int `json:"queue_len"`
+	MaxBatch int `json:"max_batch"`
+	Flushers int `json:"flushers"`
 
 	Enqueued        int64 `json:"enqueued"`
 	EnqueuedValues  int64 `json:"enqueued_values"`
@@ -602,25 +595,23 @@ func checkKeyParam(w http.ResponseWriter, key string) bool {
 // ingest applies one decoded batch through the configured path: the
 // batcher in async mode (waiting for its flush — group commit), the
 // accumulator or keyed store directly otherwise. A non-empty key routes
-// to the keyed store. It reports whether the batch was accepted, writing
-// the shed-load or failure response itself when not.
+// to the keyed store. It reports whether the batch was acknowledged,
+// writing the shed-load or failure response itself when not.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs []float64, sub bool) bool {
 	if s.bat == nil {
 		s.applyMu.RLock()
+		var jerr error
 		if s.wal != nil {
-			// Journal-then-apply: a decoded raw batch cannot fail, so the
-			// record can be made durable before the state moves. A commit
-			// failure rejects the request with state untouched.
+			// Journal, then apply whether or not the commit succeeded: a
+			// failed commit leaves the frame in the log's pending buffer,
+			// and the next successful commit writes it, so the live state
+			// must already hold the batch that a restart will replay.
 			if key != "" {
 				s.wal.AppendKeyed(key, xs, sub)
 			} else {
 				s.wal.AppendBatch(xs, sub)
 			}
-			if err := s.wal.Commit(); err != nil {
-				s.applyMu.RUnlock()
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journaling batch: %w", err))
-				return false
-			}
+			jerr = s.wal.Commit()
 		}
 		switch {
 		case key != "" && sub:
@@ -633,6 +624,10 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 			s.sh.AddBatch(xs)
 		}
 		s.applyMu.RUnlock()
+		if jerr != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("batch applied but journal commit failed: %w", jerr))
+			return false
+		}
 		s.noteMutations(1)
 		return true
 	}
@@ -656,9 +651,10 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 		return false
 	case errors.Is(err, batch.ErrQueueFull):
 		// Fail fast, state untouched: the client should back off and
-		// retry after the queue has had a chance to drain.
+		// retry. The queue frees up as soon as the running flush
+		// completes, so the header's smallest whole second is enough.
 		s.st.bump(&s.st.rejected)
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
 		return false
 	case errors.Is(err, batch.ErrClosed):
@@ -849,10 +845,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		m := s.bat.Metrics()
 		o := s.bat.Options()
 		resp.Async = &AsyncStats{
-			QueueLen:   o.QueueLen,
-			MaxBatch:   o.MaxBatch,
-			MaxDelayMs: float64(o.MaxDelay) / float64(time.Millisecond),
-			Flushers:   o.Flushers,
+			QueueLen: o.QueueLen,
+			MaxBatch: o.MaxBatch,
+			Flushers: o.Flushers,
 
 			Enqueued:        m.Enqueued,
 			EnqueuedValues:  m.EnqueuedValues,
@@ -861,7 +856,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			FlushedRequests: m.FlushedRequests,
 			FlushedValues:   m.FlushedValues,
 			SizeFlushes:     m.SizeFlushes,
-			DeadlineFlushes: m.DeadlineFlushes,
+			DeadlineFlushes: m.DrainFlushes,
 			DrainFlushes:    m.DrainFlushes,
 			QueueDepth:      m.QueueDepth,
 			FlushNsTotal:    m.FlushNs,
@@ -920,8 +915,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m := s.bat.Metrics()
 		o := s.bat.Options()
 		p.Gauge("sumd_ingest_queue_len", "Capacity of the bounded ingest queue (requests).", float64(o.QueueLen))
-		p.Gauge("sumd_ingest_max_batch", "Pending-value count that triggers a flush.", float64(o.MaxBatch))
-		p.Gauge("sumd_ingest_max_delay_seconds", "Latency budget before a deadline flush.", o.MaxDelay.Seconds())
+		p.Gauge("sumd_ingest_max_batch", "Most values one flush takes from the queue.", float64(o.MaxBatch))
 		p.Gauge("sumd_ingest_queue_depth", "Requests admitted but not yet flushed.", float64(m.QueueDepth))
 		p.Counter("sumd_ingest_enqueued_total", "Requests admitted to the ingest queue.", float64(m.Enqueued))
 		p.Counter("sumd_ingest_enqueued_values_total", "Float64s admitted to the ingest queue.", float64(m.EnqueuedValues))
@@ -930,10 +924,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("sumd_ingest_flushed_values_total", "Float64s applied to the accumulator by flushes.", float64(m.FlushedValues))
 		p.Counter("sumd_ingest_keyed_enqueued_total", "Keyed requests admitted to the ingest queue.", float64(m.KeyedEnqueued))
 		p.Counter("sumd_ingest_keyed_flushed_requests_total", "Keyed requests completed by flushes.", float64(m.KeyedFlushedRequests))
-		p.CounterVec("sumd_ingest_flush_cause_total", "Flushes by trigger.", "cause", map[string]float64{
-			"size":     float64(m.SizeFlushes),
-			"deadline": float64(m.DeadlineFlushes),
-			"drain":    float64(m.DrainFlushes),
+		p.CounterVec("sumd_ingest_flush_cause_total", "Flushes by cause (size: stopped at the batch cap; drain: emptied the queue).", "cause", map[string]float64{
+			"size":  float64(m.SizeFlushes),
+			"drain": float64(m.DrainFlushes),
 		})
 		p.Histogram("sumd_ingest_flush_size", "Values per flush.",
 			batch.SizeBuckets[:], m.SizeHist[:], float64(m.FlushedValues))

@@ -7,10 +7,13 @@ package sumdsrv
 // paths meet the journal differently:
 //
 //   - Raw value batches (/v1/add, /v1/sub) cannot fail validation once
-//     decoded, so the sync path journals first and applies second; in
-//     async mode the walSink wrapper journals each flush group and
-//     commits once per flush — the batcher's group commit doubles as a
-//     group fsync.
+//     decoded, so the sync path journals first and applies second — and
+//     applies even when the commit fails, because the frame stays
+//     pending in the log and the next successful commit writes it; the
+//     request then gets a 500 saying the batch was applied. In async
+//     mode the walSink wrapper journals each flush group and commits
+//     once per flush — the batcher's group commit doubles as a group
+//     fsync.
 //   - Partial/envelope pushes validate inside the accumulator merge, so
 //     they apply first (keeping garbage out of the log) and journal the
 //     already-accepted blob second.

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -263,7 +262,7 @@ func TestWALAsyncConcurrentDurability(t *testing.T) {
 	ctx := context.Background()
 	_, c, _ := startServer(t, sumdsrv.Options{
 		Shards: 2, KeyPartitions: 2,
-		Async: true, QueueLen: 64, MaxBatch: 32, MaxDelay: time.Millisecond, Flushers: 2,
+		Async: true, QueueLen: 64, MaxBatch: 32, Flushers: 2,
 		WALDir: dir, WALFsync: "off",
 	})
 
