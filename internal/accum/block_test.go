@@ -192,12 +192,12 @@ func TestBlockVsScalarWindow(t *testing.T) {
 	}
 }
 
-// TestLaneFastPathEngages pins the dispatch policy via the two budgets: a
-// bulk insert at the canonical width — wide or narrow exponent spread
-// alike — lands entirely in the lane cache (lc.n charged per element, no
-// lazy digit adds), and only a flush point moves the contribution into
-// the digits (at most three pieces per dirty window). Non-canonical
-// widths take the scalar path and never touch the cache.
+// TestLaneFastPathEngages pins the dispatch policy through the lazy-add
+// budget: a bulk insert at the canonical width — wide or narrow exponent
+// spread alike — lands in the call's lane cache and reaches the digits as
+// one four-add drain per call (one more per mid-call drain when the lane
+// budget saturates), while non-canonical widths take the scalar path and
+// charge one add per element.
 func TestLaneFastPathEngages(t *testing.T) {
 	wide := make([]float64, 1000)
 	for i := range wide {
@@ -205,36 +205,42 @@ func TestLaneFastPathEngages(t *testing.T) {
 	}
 	d := NewDense(0)
 	d.AddSlice(wide)
-	if d.lc.n != int64(len(wide)) {
-		t.Fatalf("wide slice charged %d lane adds, want %d (lane cache did not engage)", d.lc.n, len(wide))
+	if d.nAdd != 4 {
+		t.Fatalf("wide slice charged %d lazy digit adds, want 4 (one lane drain)", d.nAdd)
 	}
-	if d.nAdd != 0 {
-		t.Fatalf("wide slice charged %d lazy digit adds before any flush, want 0", d.nAdd)
-	}
-	d.Regularize()
-	if d.lc.n != 0 || d.lc.dirty() {
-		t.Fatalf("Regularize left %d pending lane adds, want 0", d.lc.n)
+	d.SubSlice32([]float32{1, 2, 3})
+	if d.nAdd != 8 {
+		t.Fatalf("second bulk call left %d lazy digit adds, want 8 (two lane drains)", d.nAdd)
 	}
 
 	d8 := NewDense(8)
 	d8.AddSlice(wide)
-	if d8.lc.n != 0 {
-		t.Fatalf("non-canonical width charged %d lane adds, want 0 (scalar path)", d8.lc.n)
+	if d8.nAdd != len(wide) {
+		t.Fatalf("non-canonical width charged %d lazy digit adds, want %d (scalar path)", d8.nAdd, len(wide))
 	}
 
 	// Specials divert only themselves: the finite elements stay in the
 	// lane cache, the special lands out of band via the repair pass.
-	mixed := append(append([]float64{1.5}, math.Inf(1)), 2.5, math.NaN())
+	mixed := []float64{1.5, math.Inf(1), 2.5, math.NaN()}
 	dm := NewDense(0)
 	dm.AddSlice(mixed)
-	if dm.lc.n != int64(len(mixed)) {
-		t.Fatalf("mixed slice charged %d lane adds, want %d", dm.lc.n, len(mixed))
+	if dm.nAdd != 4 {
+		t.Fatalf("mixed slice charged %d lazy digit adds, want 4", dm.nAdd)
 	}
 	if dm.sp.posInf != 1 || dm.sp.nan != 1 {
 		t.Fatalf("specials not repaired out of band: %+v", dm.sp)
 	}
 	if g := dm.Round(); !math.IsNaN(g) {
 		t.Fatalf("Round after mixed specials = %v, want NaN", g)
+	}
+
+	// A saturated lane budget drains mid-call: 1000 elements at 256 per
+	// drain is three mid-call drains plus the final one.
+	forceLaneBudget(t, 256)
+	ds := NewDense(0)
+	ds.AddSlice(wide)
+	if ds.nAdd != 16 {
+		t.Fatalf("budget-256 slice charged %d lazy digit adds, want 16 (four drains)", ds.nAdd)
 	}
 }
 
@@ -416,10 +422,10 @@ func TestLane32VsScalar(t *testing.T) {
 	}
 }
 
-// TestLanePendingConsumers: every consumer of an accumulator's value must
-// observe pending lane contributions — Merge, AddNeg, Neg, Clone,
-// MarshalBinary, IsZero, Digits, ToSparse, AddRegularized — without an
-// explicit Regularize in between.
+// TestLanePendingConsumers: every consumer of an accumulator's value —
+// Merge, AddNeg, Neg, Clone, MarshalBinary, IsZero, Digits, ToSparse,
+// AddRegularized — sees everything a bulk call added, without an explicit
+// Regularize in between: the call drains its lanes before returning.
 func TestLanePendingConsumers(t *testing.T) {
 	xs := make([]float64, 500)
 	for i := range xs {
@@ -515,30 +521,36 @@ func TestLanePendingConsumers(t *testing.T) {
 	}
 }
 
-// TestDenseAddSliceZeroAlloc asserts the bulk hot path allocates nothing:
-// the block pipeline runs entirely on the accumulator's existing digit
-// array and stack-resident lanes.
-func TestDenseAddSliceZeroAlloc(t *testing.T) {
+// TestLaneSlicesZeroAlloc asserts the bulk hot paths allocate nothing on
+// any lane host: the lane cache lives on the call's stack and drains into
+// the accumulator's existing digits.
+func TestLaneSlicesZeroAlloc(t *testing.T) {
 	xs := make([]float64, 4096)
 	rng := rand.New(rand.NewSource(3))
 	for i := range xs {
 		xs[i] = math.Ldexp(rng.Float64()*2-1, rng.Intn(1000)-500)
 	}
-	d := NewDense(0)
-	if avg := testing.AllocsPerRun(20, func() { d.AddSlice(xs) }); avg != 0 {
-		t.Fatalf("Dense.AddSlice allocates %.1f times per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(20, func() { d.SubSlice(xs) }); avg != 0 {
-		t.Fatalf("Dense.SubSlice allocates %.1f times per call, want 0", avg)
-	}
 	xs32 := make([]float32, 4096)
 	for i := range xs32 {
 		xs32[i] = float32(rng.Float64()*2 - 1)
 	}
-	if avg := testing.AllocsPerRun(20, func() { d.AddSlice32(xs32) }); avg != 0 {
-		t.Fatalf("Dense.AddSlice32 allocates %.1f times per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(20, func() { d.SubSlice32(xs32) }); avg != 0 {
-		t.Fatalf("Dense.SubSlice32 allocates %.1f times per call, want 0", avg)
+	hosts := map[string]interface {
+		AddSlice([]float64)
+		SubSlice([]float64)
+		AddSlice32([]float32)
+		SubSlice32([]float32)
+	}{"dense": NewDense(0), "small": NewSmall(), "window": NewWindow(0)}
+	for name, h := range hosts {
+		h.AddSlice(xs) // grow a Window to its full range first
+		for op, f := range map[string]func(){
+			"AddSlice":   func() { h.AddSlice(xs) },
+			"SubSlice":   func() { h.SubSlice(xs) },
+			"AddSlice32": func() { h.AddSlice32(xs32) },
+			"SubSlice32": func() { h.SubSlice32(xs32) },
+		} {
+			if avg := testing.AllocsPerRun(20, f); avg != 0 {
+				t.Errorf("%s.%s allocates %.1f times per call, want 0", name, op, avg)
+			}
+		}
 	}
 }

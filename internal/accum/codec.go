@@ -284,7 +284,6 @@ func (a *Window) UnmarshalBinary(data []byte) error {
 	}
 	a.w, a.sp, a.maxAdd, a.nAdd = w, sp, maxLazyAdds(w), 1
 	a.win, a.base = a.win[:0], 0
-	a.lc.reset()
 	if len(idx) > 0 {
 		lo, hi := int(idx[0]), int(idx[len(idx)-1])
 		a.base = lo

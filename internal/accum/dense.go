@@ -22,14 +22,12 @@ import (
 // Lemma 1 addition used by the parallel algorithms.
 //
 // Bulk additions at the canonical width go one tier higher: AddSlice and
-// SubSlice accumulate into the embedded carry-save lane cache (lanes.go),
-// an L1-resident 128-bit-per-window mirror of the digit string, and the
-// digits see the contribution only when the cache drains (flushLanes) — on
-// Regularize, Round, Merge, marshal, or lane-budget saturation. The
-// represented value is always digits + pending lanes; every consumer of
-// the digit string flushes first, and a flush is value-preserving, so the
-// canonical regularized digit string is bit-identical to the scalar
-// path's regardless of where flushes fall relative to the input stream.
+// SubSlice accumulate into a call-scoped carry-save lane cache (lanes.go),
+// an L1-resident 128-bit-per-window mirror of the digit string kept on
+// the call's stack, and drain it into the digits before they return. A
+// drain is value-preserving, so between calls the digits hold the whole
+// value and the canonical regularized digit string is bit-identical to
+// the scalar path's.
 type Dense struct {
 	w      uint
 	radix  int64
@@ -39,7 +37,6 @@ type Dense struct {
 	nAdd   int
 	maxAdd int
 	sp     special
-	lc     laneCache
 }
 
 // NewDense returns an empty dense superaccumulator with digit width w
@@ -67,7 +64,6 @@ func (d *Dense) Reset() {
 	}
 	d.nAdd = 0
 	d.sp = special{}
-	d.lc.reset()
 }
 
 // Add accumulates x exactly. NaN and ±Inf are tracked with IEEE semantics.
@@ -91,7 +87,7 @@ func (d *Dense) Add(x float64) {
 // bucket fills, and the sumd ingest path — and, at the canonical digit
 // width, runs the carry-save lane pass of lanes.go: one branch-free
 // 128-bit window update per element into the L1-resident lane cache,
-// drained into the dense digits only at flush points. The result is
+// drained into the dense digits once per call. The result is
 // bit-identical to calling Add per element.
 func (d *Dense) AddSlice(xs []float64) {
 	if d.w != blockWidth {
@@ -130,42 +126,13 @@ func (d *Dense) SubSlice32(xs []float32) {
 	laneSlice32(d, xs, 1)
 }
 
-// laneHost adapters.
-func (d *Dense) lanes() *laneCache { return &d.lc }
-
-// flushLanes drains every pending lane-cache window into the dense digit
-// string (three exact pieces per dirty window) and zeroes the cache. It
-// charges the lazy-add budget per piece, paying at most one carry pass up
-// front so the drain itself cannot recurse into Regularize.
-func (d *Dense) flushLanes() {
-	if d.lc.n == 0 {
-		return
+// laneDigits is the laneHost drain target (W = 32).
+func (d *Dense) laneDigits(lo, hi int) []int64 {
+	if d.nAdd+4 > d.maxAdd {
+		d.Regularize()
 	}
-	if d.nAdd+3*laneWindows > d.maxAdd {
-		d.carryPass()
-	}
-	for i := range d.lc.lane {
-		p := &d.lc.lane[i]
-		if p.lo == 0 && p.hi == 0 {
-			continue
-		}
-		e := (i - laneKBias) * blockWidth
-		p0, p1, hiNeg, hiMag := lanePieces(*p)
-		if p0 != 0 {
-			d.nAdd++
-			d.addChunks(false, p0, e)
-		}
-		if p1 != 0 {
-			d.nAdd++
-			d.addChunks(false, p1, e+blockWidth)
-		}
-		if hiMag != 0 {
-			d.nAdd++
-			d.addChunks(hiNeg, hiMag, e+64)
-		}
-		*p = lane128{}
-	}
-	d.lc.n = 0
+	d.nAdd += 4
+	return d.dig[lo-d.minIdx : hi-d.minIdx+1]
 }
 
 // addChunks splits the 53-bit significand m·2^e into W-bit digit-aligned
@@ -238,7 +205,6 @@ func (d *Dense) Neg() {
 	for i := range d.dig {
 		d.dig[i] = -d.dig[i]
 	}
-	d.lc.negate()
 	d.sp.negate()
 }
 
@@ -255,10 +221,6 @@ func (d *Dense) AddNeg(o *Dense) {
 	if d.nAdd+o.nAdd+1 > d.maxAdd {
 		d.Regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
-	if d.lc.n+o.lc.n > laneMaxAdds {
-		d.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	d.lc.unmerge(&o.lc)
 	for i, v := range o.dig {
 		d.dig[i] -= v
 	}
@@ -285,21 +247,12 @@ func (d *Dense) addInt64(v int64, e int) {
 }
 
 // Regularize restores every digit to the (α,β) range [−(R−1), R−1] without
-// changing the represented value, draining any pending lane-cache
-// contributions first so the digit string is the complete value. The carry
-// step is a single low-to-high signed-carry pass: dᵢ ← v mod R (in
-// [0, R−1]) with carry ⌊v/R⌋ into the next digit; the topmost digit keeps
-// its carry unreduced (the headroom digits guarantee it stays small, and a
-// globally negative value leaves the top digit negative).
+// changing the represented value. The carry step is a single low-to-high
+// signed-carry pass: dᵢ ← v mod R (in [0, R−1]) with carry ⌊v/R⌋ into the
+// next digit; the topmost digit keeps its carry unreduced (the headroom
+// digits guarantee it stays small, and a globally negative value leaves the
+// top digit negative).
 func (d *Dense) Regularize() {
-	d.flushLanes()
-	d.carryPass()
-}
-
-// carryPass is Regularize's carry step over the digits alone; callers
-// other than Regularize use it when the lane cache is being handled
-// separately (flushLanes pays one up front to make headroom).
-func (d *Dense) carryPass() {
 	var c int64
 	last := len(d.dig) - 1
 	for i := 0; i < last; i++ {
@@ -320,15 +273,6 @@ func (d *Dense) carryPass() {
 func (d *Dense) AddRegularized(o *Dense) {
 	if d.w != o.w {
 		panic("accum: width mismatch in AddRegularized")
-	}
-	// Pending lanes mean the digit string is not the complete value, so
-	// the side is not regularized; restore the precondition. (Callers on
-	// the parallel merge path regularize first, making these no-ops.)
-	if d.lc.dirty() {
-		d.Regularize()
-	}
-	if o.lc.dirty() {
-		o.Regularize()
 	}
 	d.sp.merge(o.sp)
 	r := d.radix
@@ -362,10 +306,6 @@ func (d *Dense) Merge(o *Dense) {
 	if d.nAdd+o.nAdd+1 > d.maxAdd {
 		d.Regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
-	if d.lc.n+o.lc.n > laneMaxAdds {
-		d.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	d.lc.merge(&o.lc)
 	for i, v := range o.dig {
 		d.dig[i] += v
 	}
@@ -374,12 +314,8 @@ func (d *Dense) Merge(o *Dense) {
 
 // IsRegularized reports whether every digit lies in the (α,β) range
 // [−(R−1), R−1]. It is the Lemma 1 invariant checked by the property
-// tests. Pending lane-cache contributions mean the digit string is not
-// the complete value, so a dirty cache reads as not regularized.
+// tests.
 func (d *Dense) IsRegularized() bool {
-	if d.lc.dirty() {
-		return false
-	}
 	for _, v := range d.dig {
 		if v <= -d.radix || v >= d.radix {
 			return false
@@ -394,7 +330,6 @@ func (d *Dense) IsZero() bool {
 	if d.sp.any() {
 		return false
 	}
-	d.flushLanes()
 	for _, v := range d.dig {
 		if v != 0 {
 			return false
@@ -441,16 +376,13 @@ func (d *Dense) ToSparse() *Sparse {
 func (d *Dense) EncodedSize() int { return 8 * len(d.dig) }
 
 // Digits returns the digit string and the index of its first element, for
-// inspection by tests and the PRAM simulator, draining any pending lane
-// contributions first. The slice aliases d's state.
+// inspection by tests and the PRAM simulator. The slice aliases d's state.
 func (d *Dense) Digits() ([]int64, int) {
-	d.flushLanes()
 	return d.dig, d.minIdx
 }
 
 // String renders the nonzero digits for debugging.
 func (d *Dense) String() string {
-	d.flushLanes()
 	out := "Dense{"
 	first := true
 	for i := len(d.dig) - 1; i >= 0; i-- {

@@ -41,10 +41,13 @@ import (
 // contributes exactly ±(m<<off) · 2^(32k) — at most 53+31 = 84 bits, so it
 // fits a 128-bit window accumulator with 2^43 headroom. The cache as a
 // whole represents Σ_k window_k · 2^(32k) in two's complement; draining a
-// window into the canonical digits (flushLanes on each representation)
-// splits it into three exact pieces — lo's two 32-bit halves and the
-// signed hi — so a flush is value-preserving by construction, and the
-// post-Regularize digit string is bit-identical to the scalar path's.
+// window into the canonical digits splits it into four exact digit-aligned
+// pieces (see drain), so a drain is value-preserving by construction, and
+// the post-Regularize digit string is bit-identical to the scalar path's.
+//
+// The cache is call-scoped: each bulk call keeps one on its own stack and
+// drains it before returning, so no accumulator holds lanes between calls
+// and every reader sees the whole value in the digits.
 const (
 	// blockWidth is the digit width the lane cache specializes for: 2^5,
 	// so window indexing is a shift. It is accum.DefaultWidth — the width
@@ -108,11 +111,11 @@ var laneTab = func() *[2048]uint64 {
 }()
 
 // laneMaxAdds bounds how many elements a lane cache may absorb between
-// flushes. Each element grows some window's |hi| by at most 2^20 + 1
+// drains. Each element grows some window's |hi| by at most 2^20 + 1
 // (m>>(64−off) ≤ 2^(84−64), plus the lo carry), so 2^41 adds keep
 // |hi| < 2^61 + 2^41 — two bits of headroom below int64 overflow. It is a
 // variable, not a constant, only so the flush-boundary tests can force
-// budget exhaustion mid-slice without 2^41-element inputs.
+// mid-call drains without 2^41-element inputs.
 var laneMaxAdds = int64(1) << 41
 
 // lane128 is one window's two's-complement 128-bit accumulator.
@@ -122,18 +125,11 @@ type lane128 struct {
 }
 
 // laneCache is the lane array plus its add budget. The zero value is the
-// empty cache; it is embedded by value in Dense, Small, and Window so a
-// struct copy (Clone, decode-and-swap) copies the pending lanes with it.
+// empty cache.
 type laneCache struct {
 	lane [lanePad]lane128
-	n    int64 // elements absorbed since the last flush; ≤ laneMaxAdds
+	n    int64 // elements absorbed since the last drain; ≤ laneMaxAdds
 }
-
-// dirty reports whether the cache may hold pending contributions (n is
-// charged per element, so n == 0 means every lane is zero).
-func (lc *laneCache) dirty() bool { return lc.n != 0 }
-
-func (lc *laneCache) reset() { *lc = laneCache{} }
 
 // accum folds every element of blk into the lane array: add when
 // dirNeg == 0, delete (the group inverse) when dirNeg == 1. It returns
@@ -268,61 +264,14 @@ func (lc *laneCache) repair32(blk []float32, dirNeg uint64, sc scalarAdder) {
 // f32ExpBias: e = biased − 127 − 23 for normal float32s.
 const f32ExpBias = 150
 
-// merge folds o's pending lanes into lc (128-bit adds per window). The
-// caller maintains the budget invariant (flushing first when
-// lc.n + o.n > laneMaxAdds) and charges lc.n.
-func (lc *laneCache) merge(o *laneCache) {
-	if o.n == 0 {
-		return
-	}
-	for i := range lc.lane {
-		p, q := &lc.lane[i], &o.lane[i]
-		var c uint64
-		p.lo, c = bits.Add64(p.lo, q.lo, 0)
-		p.hi += q.hi + int64(c)
-	}
-	lc.n += o.n
-}
-
-// unmerge subtracts o's pending lanes from lc — the group inverse of
-// merge, used by AddNeg. Magnitudes still add, so the caller charges the
-// budget exactly as for merge.
-func (lc *laneCache) unmerge(o *laneCache) {
-	if o.n == 0 {
-		return
-	}
-	for i := range lc.lane {
-		p, q := &lc.lane[i], &o.lane[i]
-		var bw uint64
-		p.lo, bw = bits.Sub64(p.lo, q.lo, 0)
-		p.hi -= q.hi + int64(bw)
-	}
-	lc.n += o.n
-}
-
-// negate maps every pending window through v ↦ −v in 128-bit two's
-// complement.
-func (lc *laneCache) negate() {
-	if lc.n == 0 {
-		return
-	}
-	for i := range lc.lane {
-		p := &lc.lane[i]
-		var bw uint64
-		p.lo, bw = bits.Sub64(0, p.lo, 0)
-		p.hi = -p.hi - int64(bw)
-	}
-}
-
-// laneHost is the seam laneSlice drives: a full-range accumulator at the
-// canonical 32-bit window spacing that owns a lane cache and can drain it
-// into its digit representation.
+// laneHost is the seam the bulk passes drain through: a full-range
+// accumulator at the canonical 32-bit digit width.
 type laneHost interface {
 	scalarAdder
-	lanes() *laneCache
-	// flushLanes drains every dirty window into the canonical digits and
-	// zeroes the cache; a no-op when the cache is clean.
-	flushLanes()
+	// laneDigits charges the lazy-add budget for one drain (four adds,
+	// see drain) and returns the digits with indices lo through hi,
+	// growing the representation first if it does not cover them.
+	laneDigits(lo, hi int) []int64
 }
 
 // scalarAdder is the per-element Add/Sub surface every representation
@@ -334,19 +283,18 @@ type scalarAdder interface {
 }
 
 // laneSlice is the bulk dispatcher behind AddSlice (dirNeg = 0) and
-// SubSlice (dirNeg = 1) at the canonical width: accumulate blocks of up to
-// blockLen elements into the lane cache, flushing only when the add budget
-// would be exceeded. Block granularity exists solely to localize special
-// repair and budget checks; the lanes themselves persist across blocks,
-// slices, and calls until a flush point (Regularize/Propagate/regularize,
-// and hence Round, Merge, ToSparse, Marshal).
+// SubSlice (dirNeg = 1) at the canonical width. The lane cache lives on
+// this call's stack: blocks of up to blockLen elements accumulate into it,
+// and it drains into h's digits before the call returns — mid-call only
+// when the add budget would be exceeded. Block granularity exists solely
+// to localize special repair and budget checks.
 func laneSlice(h laneHost, xs []float64, dirNeg uint64) {
-	lc := h.lanes()
+	var lc laneCache
 	for len(xs) > 0 {
 		n := min(len(xs), blockLen)
 		if r := laneMaxAdds - lc.n; int64(n) > r {
 			if r <= 0 {
-				h.flushLanes()
+				lc.drain(h)
 				continue
 			}
 			n = int(r)
@@ -358,16 +306,17 @@ func laneSlice(h laneHost, xs []float64, dirNeg uint64) {
 			lc.repair(blk, dirNeg, h)
 		}
 	}
+	lc.drain(h)
 }
 
 // laneSlice32 is laneSlice for float32 input.
 func laneSlice32(h laneHost, xs []float32, dirNeg uint64) {
-	lc := h.lanes()
+	var lc laneCache
 	for len(xs) > 0 {
 		n := min(len(xs), blockLen)
 		if r := laneMaxAdds - lc.n; int64(n) > r {
 			if r <= 0 {
-				h.flushLanes()
+				lc.drain(h)
 				continue
 			}
 			n = int(r)
@@ -379,19 +328,41 @@ func laneSlice32(h laneHost, xs []float32, dirNeg uint64) {
 			lc.repair32(blk, dirNeg, h)
 		}
 	}
+	lc.drain(h)
 }
 
-// lanePieces splits one window's 128-bit value into its three exact drain
-// pieces: lo's two 32-bit halves (non-negative) and the signed hi, with
-// exponents e0, e0+32, e0+64 for window array index i (e0 = 32(i −
-// laneKBias)). Shared by every representation's flushLanes.
-func lanePieces(p lane128) (p0, p1 uint64, hiNeg bool, hiMag uint64) {
-	p0 = p.lo & 0xFFFFFFFF
-	p1 = p.lo >> 32
-	hiNeg = p.hi < 0
-	hiMag = uint64(p.hi)
-	if hiNeg {
-		hiMag = -hiMag
+// drain adds every nonzero window into h's digits and empties the cache.
+// At W = 32 window i is digit k = i − laneKBias, so its 128-bit value is
+// four digit-aligned pieces: lo's two 32-bit halves at digits k and k+1,
+// hi's low half at k+2 and hi's arithmetic-shifted high half at k+3. Each
+// piece is below R = 2^32 in magnitude and a digit receives at most one
+// piece of each kind, so one drain grows any digit by less than 4R — the
+// four lazy adds laneDigits charges.
+func (lc *laneCache) drain(h laneHost) {
+	lc.n = 0
+	lo, hi := 0, laneWindows-1
+	for lo <= hi && lc.lane[lo] == (lane128{}) {
+		lo++
 	}
-	return
+	if lo > hi {
+		return
+	}
+	for lc.lane[hi] == (lane128{}) {
+		hi--
+	}
+	dig := h.laneDigits(lo-laneKBias, hi-laneKBias+3)
+	// Sum each digit's pieces in registers and store it once: c1, c2, c3
+	// carry the pieces earlier windows owe the next three digits.
+	var c1, c2, c3 int64
+	n := hi - lo + 1
+	for i, p := range lc.lane[lo : hi+1] {
+		dig[i] += int64(uint32(p.lo)) + c1
+		c1 = int64(p.lo>>32) + c2
+		c2 = int64(uint32(p.hi)) + c3
+		c3 = p.hi >> 32
+	}
+	dig[n] += c1
+	dig[n+1] += c2
+	dig[n+2] += c3
+	clear(lc.lane[lo : hi+1])
 }

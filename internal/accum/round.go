@@ -170,7 +170,6 @@ func (a *Window) Round32() float32 {
 	if v, ok := a.sp.resolved(); ok {
 		return float32(v)
 	}
-	a.flushLanes()
 	if len(a.win) == 0 {
 		return 0
 	}

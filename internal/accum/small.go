@@ -15,7 +15,6 @@ type Small struct {
 	nAdd   int
 	maxAdd int
 	sp     special
-	lc     laneCache
 }
 
 const smallWidth = 32
@@ -76,7 +75,7 @@ func (s *Small) addChunks(neg bool, m uint64, e int) {
 // AddSlice accumulates every element of xs exactly through the carry-save
 // lane pass (see lanes.go): Small's chunk spacing is the canonical 32-bit
 // width, so it shares the L1-resident lane cache machinery with Dense —
-// the only difference is where a flush drains to. The result is
+// the only difference is where a drain lands. The result is
 // bit-identical to calling Add per element.
 func (s *Small) AddSlice(xs []float64) {
 	laneSlice(s, xs, 0)
@@ -94,41 +93,13 @@ func (s *Small) SubSlice32(xs []float32) {
 	laneSlice32(s, xs, 1)
 }
 
-// laneHost adapters.
-func (s *Small) lanes() *laneCache { return &s.lc }
-
-// flushLanes drains every pending lane-cache window into the chunk array
-// (three exact pieces per dirty window) and zeroes the cache, paying at
-// most one carry pass up front so the drain cannot recurse.
-func (s *Small) flushLanes() {
-	if s.lc.n == 0 {
-		return
+// laneDigits is the laneHost drain target.
+func (s *Small) laneDigits(lo, hi int) []int64 {
+	if s.nAdd+4 > s.maxAdd {
+		s.Propagate()
 	}
-	if s.nAdd+3*laneWindows > s.maxAdd {
-		s.carryPass()
-	}
-	for i := range s.lc.lane {
-		p := &s.lc.lane[i]
-		if p.lo == 0 && p.hi == 0 {
-			continue
-		}
-		e := (i - laneKBias) * smallWidth
-		p0, p1, hiNeg, hiMag := lanePieces(*p)
-		if p0 != 0 {
-			s.nAdd++
-			s.addChunks(false, p0, e)
-		}
-		if p1 != 0 {
-			s.nAdd++
-			s.addChunks(false, p1, e+smallWidth)
-		}
-		if hiMag != 0 {
-			s.nAdd++
-			s.addChunks(hiNeg, hiMag, e+64)
-		}
-		*p = lane128{}
-	}
-	s.lc.n = 0
+	s.nAdd += 4
+	return s.dig[lo-s.minIdx : hi-s.minIdx+1]
 }
 
 // addInt64 accumulates the exact value v·2^e. Each chunk receives less
@@ -180,7 +151,6 @@ func (s *Small) Neg() {
 	for i := range s.dig {
 		s.dig[i] = -s.dig[i]
 	}
-	s.lc.negate()
 	s.sp.negate()
 }
 
@@ -192,10 +162,6 @@ func (s *Small) AddNeg(o *Small) {
 	if s.nAdd+o.nAdd+1 > s.maxAdd {
 		s.Propagate() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
-	if s.lc.n+o.lc.n > laneMaxAdds {
-		s.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	s.lc.unmerge(&o.lc)
 	for i, v := range o.dig {
 		s.dig[i] -= v
 	}
@@ -203,16 +169,9 @@ func (s *Small) AddNeg(o *Small) {
 }
 
 // Propagate performs the full sequential carry-propagation pass, leaving
-// every chunk but the topmost in [0, 2^32), draining any pending
-// lane-cache contributions first. This is the inherently sequential step
-// the paper's carry-free representation avoids.
+// every chunk but the topmost in [0, 2^32). This is the inherently
+// sequential step the paper's carry-free representation avoids.
 func (s *Small) Propagate() {
-	s.flushLanes()
-	s.carryPass()
-}
-
-// carryPass is Propagate's carry step over the chunks alone.
-func (s *Small) carryPass() {
 	var c int64
 	last := len(s.dig) - 1
 	for i := 0; i < last; i++ {
@@ -231,10 +190,6 @@ func (s *Small) Merge(o *Small) {
 	if s.nAdd+o.nAdd+1 > s.maxAdd {
 		s.Propagate() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
-	if s.lc.n+o.lc.n > laneMaxAdds {
-		s.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	s.lc.merge(&o.lc)
 	for i, v := range o.dig {
 		s.dig[i] += v
 	}
@@ -257,7 +212,6 @@ func (s *Small) Reset() {
 	}
 	s.nAdd = 0
 	s.sp = special{}
-	s.lc.reset()
 }
 
 // Clone returns an independent copy of s.

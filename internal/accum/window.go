@@ -14,7 +14,6 @@ type Window struct {
 	nAdd   int
 	maxAdd int
 	sp     special
-	lc     laneCache
 }
 
 // NewWindow returns an empty window accumulator of width w
@@ -27,11 +26,8 @@ func NewWindow(w uint) *Window {
 // Width returns the digit width W.
 func (a *Window) Width() uint { return a.w }
 
-// Span returns the number of digits the active window currently covers,
-// draining any pending lane contributions first so the answer reflects
-// the full accumulated value.
+// Span returns the number of digits the active window currently covers.
 func (a *Window) Span() int {
-	a.flushLanes()
 	return len(a.win)
 }
 
@@ -40,7 +36,6 @@ func (a *Window) Reset() {
 	a.win = a.win[:0]
 	a.nAdd = 0
 	a.sp = special{}
-	a.lc.reset()
 }
 
 // Add accumulates x exactly, growing the window as needed.
@@ -96,7 +91,7 @@ func (a *Window) addChunks(neg bool, m uint64, e int) {
 // AddSlice accumulates every element of xs exactly. At the canonical
 // digit width it runs the carry-save lane pass of lanes.go, sharing the
 // L1-resident lane cache machinery with Dense and Small; the active
-// window grows to cover the drained digit range only at flush time, so a
+// window grows to cover the drained digit range once per drain, so a
 // bulk insert never grows or classifies per element. The result is
 // bit-identical to calling Add per element.
 func (a *Window) AddSlice(xs []float64) {
@@ -133,41 +128,15 @@ func (a *Window) SubSlice32(xs []float32) {
 	laneSlice32(a, xs, 1)
 }
 
-// laneHost adapters.
-func (a *Window) lanes() *laneCache { return &a.lc }
-
-// flushLanes drains every pending lane-cache window into the active digit
-// window (growing it as needed through addChunks) and zeroes the cache,
-// paying at most one carry pass up front so the drain cannot recurse.
-func (a *Window) flushLanes() {
-	if a.lc.n == 0 {
-		return
+// laneDigits is the laneHost drain target (W = 32): the window grows once
+// to cover the drained range.
+func (a *Window) laneDigits(lo, hi int) []int64 {
+	if a.nAdd+4 > a.maxAdd {
+		a.regularize()
 	}
-	if a.nAdd+3*laneWindows > a.maxAdd {
-		a.carryPass()
-	}
-	for i := range a.lc.lane {
-		p := &a.lc.lane[i]
-		if p.lo == 0 && p.hi == 0 {
-			continue
-		}
-		e := (i - laneKBias) * blockWidth
-		p0, p1, hiNeg, hiMag := lanePieces(*p)
-		if p0 != 0 {
-			a.nAdd++
-			a.addChunks(false, p0, e)
-		}
-		if p1 != 0 {
-			a.nAdd++
-			a.addChunks(false, p1, e+blockWidth)
-		}
-		if hiMag != 0 {
-			a.nAdd++
-			a.addChunks(hiNeg, hiMag, e+64)
-		}
-		*p = lane128{}
-	}
-	a.lc.n = 0
+	a.nAdd += 4
+	a.ensure(lo, hi)
+	return a.win[lo-a.base : hi-a.base+1]
 }
 
 // Sub deletes x from the accumulated sum exactly — the group inverse of
@@ -209,7 +178,6 @@ func (a *Window) Neg() {
 	for i := range a.win {
 		a.win[i] = -a.win[i]
 	}
-	a.lc.negate()
 	a.sp.negate()
 }
 
@@ -221,10 +189,6 @@ func (a *Window) AddNeg(o *Window) {
 		panic("accum: width mismatch in Window.AddNeg")
 	}
 	a.sp.unmerge(o.sp)
-	if a.lc.n+o.lc.n > laneMaxAdds {
-		a.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	a.lc.unmerge(&o.lc)
 	if len(o.win) == 0 {
 		return
 	}
@@ -264,18 +228,11 @@ func (a *Window) ensure(lo, hi int) {
 	a.base, a.win = nb, nw
 }
 
-// regularize drains any pending lane contributions and runs the
-// signed-carry pass over the window; a final carry extends the window by
-// as many digits as it needs. Every resulting digit is in [0, R−1] except
-// possibly a single trailing −1 when the represented value is negative
-// (all within the (α,β) range).
+// regularize runs the signed-carry pass over the window; a final carry
+// extends the window by as many digits as it needs. Every resulting digit
+// is in [0, R−1] except possibly a single trailing −1 when the represented
+// value is negative (all within the (α,β) range).
 func (a *Window) regularize() {
-	a.flushLanes()
-	a.carryPass()
-}
-
-// carryPass is regularize's carry step over the window digits alone.
-func (a *Window) carryPass() {
 	if len(a.win) == 0 {
 		a.nAdd = 0
 		return
@@ -323,10 +280,6 @@ func (a *Window) Merge(o *Window) {
 		panic("accum: width mismatch in Window.Merge")
 	}
 	a.sp.merge(o.sp)
-	if a.lc.n+o.lc.n > laneMaxAdds {
-		a.flushLanes() // o.lc.n ≤ laneMaxAdds by construction
-	}
-	a.lc.merge(&o.lc)
 	if len(o.win) == 0 {
 		return
 	}
@@ -367,7 +320,6 @@ func (a *Window) Round() float64 {
 	if v, ok := a.sp.resolved(); ok {
 		return v
 	}
-	a.flushLanes()
 	if len(a.win) == 0 {
 		return 0
 	}

@@ -124,6 +124,8 @@ type Stats struct {
 	PostProcess    time.Duration // driver merge + final rounding (serial)
 	MeasuredWall   time.Duration // actual wall-clock of the whole job
 
+	MapTasks []time.Duration // measured time of each map task, by split
+
 	FinalComponents int // σ of the final superaccumulator (sparse kinds)
 }
 
@@ -194,6 +196,7 @@ func Run(xs []float64, cfg Config) Result {
 		}
 	}
 	runTasks(mapTasks, cfg.exec())
+	st.MapTasks = mapDur
 	st.MapMakespan = makespan(mapDur, cfg.workers())
 
 	// --- Shuffle ---------------------------------------------------------

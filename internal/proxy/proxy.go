@@ -175,7 +175,6 @@ type Proxy struct {
 
 	backends map[string]*backendConn
 	order    []string // sorted backend names
-	mux      *http.ServeMux
 	start    time.Time
 
 	// cut is the write/repair exclusion: write fanouts and hint replays
@@ -250,7 +249,6 @@ func New(opt Options) (*Proxy, error) {
 		r: r, need: need, maxBody: maxBody, hintCap: hintCap,
 		backends: make(map[string]*backendConn, rg.Len()),
 		order:    rg.Nodes(),
-		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 	}
@@ -266,16 +264,6 @@ func New(opt Options) (*Proxy, error) {
 		c.Breaker = br
 		p.backends[name] = &backendConn{name: name, c: c, br: br}
 	}
-
-	p.mux.HandleFunc("POST /v1/add", func(w http.ResponseWriter, r *http.Request) { p.handleWrite(w, r, false) })
-	p.mux.HandleFunc("POST /v1/sub", func(w http.ResponseWriter, r *http.Request) { p.handleWrite(w, r, true) })
-	p.mux.HandleFunc("GET /v1/sum", p.handleSum)
-	p.mux.HandleFunc("GET /v1/keys", p.handleKeys)
-	p.mux.HandleFunc("GET /v1/topology", p.handleTopology)
-	p.mux.HandleFunc("POST /v1/repair", p.handleRepair)
-	p.mux.HandleFunc("GET /v1/healthz", p.handleHealthz)
-	p.mux.HandleFunc("GET /v1/readyz", p.handleReadyz)
-	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
 
 	replay := opt.ReplayEvery
 	if replay == 0 {
@@ -301,8 +289,44 @@ func (p *Proxy) Close() {
 	})
 }
 
+// route is a Proxy handler as a method expression, so the route table is
+// built once per process and shared by every Proxy.
+type route func(*Proxy, http.ResponseWriter, *http.Request)
+
+// ServeHTTP exists only so a route can sit in a ServeMux: Proxy.ServeHTTP
+// calls each route with its own receiver, never through this method.
+func (route) ServeHTTP(http.ResponseWriter, *http.Request) {
+	panic("proxy: route served without its Proxy")
+}
+
+// routes is the route table every Proxy dispatches through.
+var routes = func() *http.ServeMux {
+	m := http.NewServeMux()
+	for pat, h := range map[string]route{
+		"POST /v1/add":     func(p *Proxy, w http.ResponseWriter, r *http.Request) { p.handleWrite(w, r, false) },
+		"POST /v1/sub":     func(p *Proxy, w http.ResponseWriter, r *http.Request) { p.handleWrite(w, r, true) },
+		"GET /v1/sum":      (*Proxy).handleSum,
+		"GET /v1/keys":     (*Proxy).handleKeys,
+		"GET /v1/topology": (*Proxy).handleTopology,
+		"POST /v1/repair":  (*Proxy).handleRepair,
+		"GET /v1/healthz":  (*Proxy).handleHealthz,
+		"GET /v1/readyz":   (*Proxy).handleReadyz,
+		"GET /metrics":     (*Proxy).handleMetrics,
+	} {
+		m.Handle(pat, h)
+	}
+	return m
+}()
+
 // ServeHTTP implements http.Handler.
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
+func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h, _ := routes.Handler(r)
+	if rt, ok := h.(route); ok {
+		rt(p, w, r)
+		return
+	}
+	routes.ServeHTTP(w, r) // the mux's own 404, 405 and redirect answers
+}
 
 // Ring exposes the placement function (read-only).
 func (p *Proxy) Ring() *ring.Ring { return p.ring }

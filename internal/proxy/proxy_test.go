@@ -3,12 +3,15 @@ package proxy_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +341,70 @@ func TestRepairRestoresWipedReplica(t *testing.T) {
 	stats = p.RepairNow(context.Background())
 	if stats.Diffs != 0 || stats.Skipped != 0 {
 		t.Fatalf("second round not a no-op: %+v", stats)
+	}
+}
+
+// failPosts is a backend transport that fails the next n POSTs before
+// sending them and passes every other request through.
+type failPosts struct {
+	next http.RoundTripper
+	n    atomic.Int32
+}
+
+func (f *failPosts) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && f.n.Add(-1) >= 0 {
+		return nil, errors.New("failPosts: injected failure")
+	}
+	return f.next.RoundTrip(r)
+}
+
+// TestRepairSkipsBackendWithPendingHints: a backend whose hint replay
+// fails but whose state pull succeeds must sit out the repair round. Its
+// pulled state lacks the hinted write, so repairing it would push it that
+// write inside donor − dissenter, and the hint — delivered later under a
+// token the backend never saw — would apply it a second time.
+func TestRepairSkipsBackendWithPendingHints(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	down := f.names[2]
+	fp := &failPosts{next: f.injectors[down]}
+	p, hs := newProxy(t, f, func(o *proxy.Options) {
+		o.Transport = func(name string) http.RoundTripper {
+			if name == down {
+				return fp
+			}
+			return f.injectors[name]
+		}
+	})
+	ctx := context.Background()
+
+	// Two failures: the write's leg to down (queueing a hint), then that
+	// hint's replay in the first repair round. Later POSTs get through.
+	fp.n.Store(2)
+	xs := []float64{1e16, 0.5, -1e16}
+	want := math.Float64bits(parsum.Sum(xs))
+	resp := postAdd(t, hs.URL, "k", xs, "write-1")
+	if body := drain(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"hinted":1`) {
+		t.Fatalf("add: %d %s (want acked with one hint)", resp.StatusCode, body)
+	}
+
+	stats := p.RepairNow(ctx)
+	if !slices.Equal(stats.Unreachable, []string{down}) || stats.Diffs != 0 {
+		t.Fatalf("round with an undelivered hint: %+v (want only %s unreachable, no diffs)", stats, down)
+	}
+	if _, ok, _ := f.direct[down].SumKey(ctx, "k"); ok {
+		t.Fatal("repair pushed the hinted write to a backend that still holds its hint")
+	}
+
+	// The next round delivers the hint and finds nothing left to fix.
+	stats = p.RepairNow(ctx)
+	if len(stats.Unreachable) != 0 || stats.Errors != 0 || stats.HintsFlushed != 1 || stats.Diffs != 0 {
+		t.Fatalf("second round: %+v (want the hint flushed and no diffs)", stats)
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(ctx, "k")
+		if err != nil || !ok || math.Float64bits(v) != want {
+			t.Errorf("%s: sum %v ok=%t err=%v, want bits %016x", name, v, ok, err, want)
+		}
 	}
 }
 

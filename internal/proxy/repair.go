@@ -113,7 +113,7 @@ func (p *Proxy) repairLoop(every time.Duration) {
 // RepairStats summarizes one anti-entropy round.
 type RepairStats struct {
 	Backends     int      `json:"backends"`
-	Unreachable  []string `json:"unreachable,omitempty"` // backends whose state could not be pulled
+	Unreachable  []string `json:"unreachable,omitempty"` // backends not pulled: down, or still holding hints
 	HintsFlushed int      `json:"hints_flushed"`
 	Keys         int      `json:"keys"`    // distinct keys examined
 	Diffs        int      `json:"diffs"`   // correction partials pushed
@@ -151,7 +151,10 @@ func viewVote(v replicaView) vote {
 // (tokened, so a hint racing its own earlier in-flight delivery
 // dedups), then pull each backend's full keyed state. The cut makes
 // the pulls a consistent snapshot — no write lands between two pulls
-// and shows up on one replica but not another.
+// and shows up on one replica but not another. A backend whose hints
+// did not all flush sits the round out as unreachable: its state lacks
+// writes those hints will still deliver under tokens it has never seen,
+// so pushing it donor − dissenter now would apply them twice.
 //
 // Phase 2, outside the cut: per key, majority-vote the replicas'
 // rounded bits; the majority member is the donor, and every dissenter
@@ -164,12 +167,19 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 	stats := RepairStats{Backends: len(p.order)}
 
 	p.cut.Lock()
-	for _, name := range p.order {
-		stats.HintsFlushed += p.replayConn(ctx, p.backends[name])
-	}
 	states := make(map[string]*keyed.Store, len(p.order))
 	for _, name := range p.order {
-		blob, err := p.backends[name].c.PullKeyed(ctx, "", "")
+		conn := p.backends[name]
+		stats.HintsFlushed += p.replayConn(ctx, conn)
+		conn.mu.Lock()
+		pending := len(conn.hints)
+		conn.mu.Unlock()
+		if pending > 0 {
+			stats.Unreachable = append(stats.Unreachable, name)
+			stats.Errors++
+			continue
+		}
+		blob, err := conn.c.PullKeyed(ctx, "", "")
 		if err != nil {
 			stats.Unreachable = append(stats.Unreachable, name)
 			stats.Errors++

@@ -7,6 +7,7 @@ import (
 
 	"parsum/internal/engine"
 	"parsum/internal/gen"
+	"parsum/internal/oracle"
 )
 
 // TestSubRestoresSnapshotBits: ingesting a∪b then deleting b — through
@@ -135,5 +136,41 @@ func TestSubBatchEmpty(t *testing.T) {
 	s.SubBatch(nil)
 	if got := s.Sum(); got != 2.5 {
 		t.Fatalf("SubBatch(nil) changed sum: %g", got)
+	}
+}
+
+// TestBatchesMatchOracle: the batcher's zero-copy flush calls —
+// AddBatches and SubBatches, each applying a whole group of request
+// slices under one shard lock — leave every engine bit-identical to the
+// math/big oracle of the surviving multiset, with groups flushed from
+// several goroutines at once.
+func TestBatchesMatchOracle(t *testing.T) {
+	keep := dataset(t, gen.Random, 3000, 71)
+	churn := dataset(t, gen.SumZero, 3000, 72)
+	want := oracle.Sum(keep)
+	for _, name := range []string{"dense", "sparse", "small", "large"} {
+		for _, shards := range []int{1, 4} {
+			s, err := New(Options{Engine: name, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					lo, hi := g*1000, (g+1)*1000
+					k, c := keep[lo:hi], churn[lo:hi]
+					s.AddBatches([][]float64{k[:300], c, nil, k[300:]})
+					s.AddBatches(nil)
+					s.SubBatches([][]float64{c[:500], nil, c[500:]})
+					s.SubBatches(nil)
+				}(g)
+			}
+			wg.Wait()
+			if got := s.Sum(); !bitEqual(got, want) {
+				t.Fatalf("%s shards=%d: %x != oracle %x", name, shards, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
 	}
 }

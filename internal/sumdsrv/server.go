@@ -68,6 +68,7 @@ import (
 
 	"parsum"
 	"parsum/internal/batch"
+	"parsum/internal/engine"
 	"parsum/internal/shard"
 	"parsum/internal/wal"
 )
@@ -233,7 +234,6 @@ type Server struct {
 	sh      *parsum.Sharded
 	keyed   *parsum.Keyed
 	bat     *batch.Batcher // nil in sync mode
-	mux     *http.ServeMux
 	start   time.Time
 	maxBody int64
 
@@ -271,14 +271,14 @@ func New(opt Options) (*Server, error) {
 		return nil, err
 	}
 	// Fail at construction, not first snapshot, if partials cannot ship.
-	if _, err := sh.SnapshotBytes(); err != nil {
-		return nil, fmt.Errorf("sumd: engine %q cannot serve wire partials: %w", sh.Engine(), err)
+	if e, _ := engine.Get(sh.Engine()); !engine.CanMarshal(e) {
+		return nil, fmt.Errorf("sumd: engine %q cannot serve wire partials", sh.Engine())
 	}
 	ks, err := parsum.NewKeyed(parsum.KeyedOptions{Engine: opt.Engine, Partitions: opt.KeyPartitions})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{sh: sh, keyed: ks, mux: http.NewServeMux(), start: time.Now(), maxBody: maxBody}
+	s := &Server{sh: sh, keyed: ks, start: time.Now(), maxBody: maxBody}
 	switch {
 	case opt.DedupWindow == 0:
 		s.tokens = newTokenWindow(1024)
@@ -331,21 +331,41 @@ func New(opt Options) (*Server, error) {
 			Flushers: opt.Flushers,
 		})
 	}
-	s.mux.HandleFunc("POST /v1/add", s.handleAdd)
-	s.mux.HandleFunc("POST /v1/sub", s.handleSub)
-	s.mux.HandleFunc("POST /v1/partial", s.handlePushPartial)
-	s.mux.HandleFunc("GET /v1/partial", s.handleGetPartial)
-	s.mux.HandleFunc("GET /v1/sum", s.handleSum)
-	s.mux.HandleFunc("POST /v1/reset", s.handleReset)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
-	s.mux.HandleFunc("POST /v1/keyed/partial", s.handlePushKeyed)
-	s.mux.HandleFunc("GET /v1/keyed/partial", s.handleGetKeyed)
 	return s, nil
 }
+
+// route is a Server handler as a method expression, so the route table
+// is built once per process and shared by every Server.
+type route func(*Server, http.ResponseWriter, *http.Request)
+
+// ServeHTTP exists only so a route can sit in a ServeMux: Server.ServeHTTP
+// calls each route with its own receiver, never through this method.
+func (route) ServeHTTP(http.ResponseWriter, *http.Request) {
+	panic("sumdsrv: route served without its Server")
+}
+
+// routes is the route table every Server dispatches through.
+var routes = func() *http.ServeMux {
+	m := http.NewServeMux()
+	for pat, h := range map[string]route{
+		"POST /v1/add":           (*Server).handleAdd,
+		"POST /v1/sub":           (*Server).handleSub,
+		"POST /v1/partial":       (*Server).handlePushPartial,
+		"GET /v1/partial":        (*Server).handleGetPartial,
+		"GET /v1/sum":            (*Server).handleSum,
+		"POST /v1/reset":         (*Server).handleReset,
+		"GET /v1/stats":          (*Server).handleStats,
+		"GET /v1/healthz":        (*Server).handleHealthz,
+		"GET /v1/readyz":         (*Server).handleReadyz,
+		"GET /metrics":           (*Server).handleMetrics,
+		"GET /v1/keys":           (*Server).handleKeys,
+		"POST /v1/keyed/partial": (*Server).handlePushKeyed,
+		"GET /v1/keyed/partial":  (*Server).handleGetKeyed,
+	} {
+		m.Handle(pat, h)
+	}
+	return m
+}()
 
 // dualSink is the async sink: the global Sharded accumulator (Sink +
 // SliceSink) joined with the keyed store (KeyedSink).
@@ -388,7 +408,12 @@ func (s *Server) Close() {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	s.mux.ServeHTTP(w, r)
+	h, _ := routes.Handler(r)
+	if rt, ok := h.(route); ok {
+		rt(s, w, r)
+		return
+	}
+	routes.ServeHTTP(w, r) // the mux's own 404, 405 and redirect answers
 }
 
 // SumResponse is the GET /v1/sum payload. Sum is the shortest decimal

@@ -59,7 +59,7 @@ type tokenWindow struct {
 }
 
 func newTokenWindow(capacity int) *tokenWindow {
-	return &tokenWindow{cap: capacity, set: make(map[string]struct{}, capacity)}
+	return &tokenWindow{cap: capacity, set: make(map[string]struct{})}
 }
 
 // reserve claims tok, evicting the oldest entry when full. It reports

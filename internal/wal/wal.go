@@ -178,19 +178,29 @@ type Log struct {
 	opt Options
 
 	mu       sync.Mutex
-	f        *os.File
+	f        segmentFile
 	seg      int64
-	size     int64
+	size     int64  // bytes of whole frames in the active segment
 	pend     []byte // encoded frames awaiting Commit
 	pendN    int64
 	scratch  []byte // payload encode buffer
 	dirty    bool   // written since last fsync
+	torn     bool   // a failed write left a partial frame past size
 	degraded bool   // last durability operation failed; see Degraded
 	closed   bool
 	m        Metrics
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// segmentFile is what the append path needs of an open segment (an
+// *os.File); tests substitute one whose writes come up short.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 const (
@@ -484,6 +494,16 @@ func (l *Log) commitLocked() error {
 	if len(l.pend) == 0 {
 		return nil
 	}
+	// A failed write may have left part of a frame behind, and replay
+	// stops at the first bad frame. Cut it off before anything — a retry
+	// of the same frames or a rotation — follows it.
+	if l.torn {
+		if err := l.f.Truncate(l.size); err != nil {
+			l.noteErr(err)
+			return fmt.Errorf("wal: cutting a partial frame: %w", err)
+		}
+		l.torn = false
+	}
 	if l.size >= l.opt.SegBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.noteErr(err)
@@ -491,11 +511,13 @@ func (l *Log) commitLocked() error {
 		}
 	}
 	n, err := l.f.Write(l.pend)
-	l.size += int64(n)
 	if err != nil {
+		// The frames stay pending, so the next commit writes them again.
+		l.torn = n > 0
 		l.noteErr(err)
 		return fmt.Errorf("wal: appending: %w", err)
 	}
+	l.size += int64(n)
 	l.m.Bytes += int64(len(l.pend))
 	l.m.Records += l.pendN
 	l.m.Commits++

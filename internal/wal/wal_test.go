@@ -410,6 +410,53 @@ func TestAppendCommitHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// shortFile is a segment whose next write stores only half its bytes and
+// fails, as a full disk or a failing device can.
+type shortFile struct {
+	segmentFile
+	short bool
+}
+
+func (f *shortFile) Write(p []byte) (int, error) {
+	if !f.short {
+		return f.segmentFile.Write(p)
+	}
+	f.short = false
+	n, _ := f.segmentFile.Write(p[:len(p)/2])
+	return n, errors.New("shortFile: device full")
+}
+
+// TestShortWriteLeavesNoPartialFrame: a commit whose write comes up short
+// fails, and the next commit writes its frames right after the last whole
+// frame — not after the partial one, which replay would stop at, dropping
+// every frame acknowledged after it.
+func TestShortWriteLeavesNoPartialFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Fsync: PolicyAlways})
+	recs := sampleRecords()
+	appendRecord(l, recs[0])
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	l.f = &shortFile{segmentFile: l.f, short: true}
+	appendRecord(l, recs[1])
+	if err := l.Commit(); err == nil {
+		t.Fatal("short write reported success")
+	}
+	appendRecord(l, recs[2])
+	if err := l.Commit(); err != nil {
+		t.Fatalf("commit after a short write: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got := mustOpen(t, Options{Dir: dir})
+	if got.Stats.Torn {
+		t.Fatalf("recovery found a torn frame: %+v", got.Stats)
+	}
+	checkRecovered(t, got.Records, recs[:3])
+}
+
 func TestCommitAfterCloseFails(t *testing.T) {
 	l, _ := mustOpen(t, Options{Dir: t.TempDir()})
 	l.Close()
