@@ -39,8 +39,9 @@
 // RepairNow (POST /v1/repair, or the background Options.RepairEvery
 // loop) re-converges replicas after faults: under a brief write cut it
 // flushes pending hints and pulls every backend's full keyed state,
-// then — outside the cut — majority-votes each key's rounded bits
-// across its replicas and pushes each dissenter the exact difference
+// then — outside the cut — majority-votes each key's exact state (its
+// canonical wire encoding) across its replicas and pushes each
+// dissenter the exact difference
 // (donor − dissenter) as a wire partial. Because ImportMerge ADDS group
 // elements, the diff lands the dissenter exactly on the donor's state,
 // and writes racing the push commute past it (both replicas see them).

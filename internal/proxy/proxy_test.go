@@ -344,6 +344,48 @@ func TestRepairRestoresWipedReplica(t *testing.T) {
 	}
 }
 
+// TestRepairVotesOnExactState: 2⁻⁸⁰ on top of 1.0 is below the key's
+// rounding granularity, so all three replicas of k read the same bits
+// while one of them holds a different exact state. Repair must see that
+// difference and converge the dissenter; otherwise it surfaces once the
+// large part cancels, and that replica alone reads 8.27e−25.
+func TestRepairVotesOnExactState(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	p, hs := newProxy(t, f, nil)
+	ctx := context.Background()
+	if resp := postAdd(t, hs.URL, "k", []float64{1}, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("add: %d %s", resp.StatusCode, drain(t, resp))
+	} else {
+		drain(t, resp)
+	}
+	if err := f.direct[f.names[0]].AddKeyed(ctx, "k", []float64{math.Ldexp(1, -80)}); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := p.RepairNow(ctx)
+	if stats.Errors > 0 || stats.Skipped > 0 || stats.Diffs != 1 {
+		t.Fatalf("repair stats %+v, want exactly one diff for the dissenting replica", stats)
+	}
+
+	if resp := postAdd(t, hs.URL, "k", []float64{-1}, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retract: %d %s", resp.StatusCode, drain(t, resp))
+	} else {
+		drain(t, resp)
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(ctx, "k")
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%t err=%v", name, ok, err)
+		}
+		if math.Float64bits(v) != 0 {
+			t.Errorf("%s reads %g after the retraction, want +0", name, v)
+		}
+	}
+	if stats := p.RepairNow(ctx); stats.Diffs != 0 || stats.Skipped != 0 {
+		t.Fatalf("second round not a no-op: %+v", stats)
+	}
+}
+
 // failPosts is a backend transport that fails the next n POSTs before
 // sending them and passes every other request through.
 type failPosts struct {

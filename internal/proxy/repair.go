@@ -4,12 +4,12 @@ package proxy
 // mechanisms behind the write path. Hints are the fast path — a failed
 // replica leg of an acked write is redelivered (same token, same
 // envelope) when the backend returns. Repair is the backstop that
-// needs no memory of what was missed: majority-vote every key's bits
-// across its replicas and push dissenters the exact group difference.
+// needs no memory of what was missed: majority-vote every key's exact
+// state across its replicas and push dissenters the exact group
+// difference.
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"parsum"
@@ -122,27 +122,34 @@ type RepairStats struct {
 }
 
 // replicaView is one backend's clone of one key (nil acc = the backend
-// lacks the key).
+// lacks the key) and the vote it casts.
 type replicaView struct {
 	name string
 	acc  engine.Accumulator
+	vote vote
 }
 
 // vote is the equality class a replica's state falls into: presence
-// plus the correctly rounded bits. Voting on Round() matches the
-// system's observable: two replicas agree exactly when their exact
-// group elements are equal, and the rounded bits of the exact sum are
-// the bit-identity the acceptance oracle checks.
+// plus the engine's wire encoding of the exact group element. That
+// encoding is canonical — one byte string per element, whatever history
+// built it (pinned by internal/engine's wire corpus) — so two replicas
+// agree exactly when their exact states are equal. Rounded bits would
+// not do: a write below the key's rounding granularity, or a differing
+// NaN or ±Inf multiplicity, leaves them equal.
 type vote struct {
 	present bool
-	bits    uint64
+	enc     string
 }
 
-func viewVote(v replicaView) vote {
-	if v.acc == nil {
-		return vote{}
+func (p *Proxy) viewOf(name string, acc engine.Accumulator) (replicaView, error) {
+	if acc == nil {
+		return replicaView{name: name}, nil
 	}
-	return vote{present: true, bits: math.Float64bits(v.acc.Round())}
+	blob, err := engine.MarshalPartial(p.engName, acc)
+	if err != nil {
+		return replicaView{}, err
+	}
+	return replicaView{name: name, acc: acc, vote: vote{present: true, enc: string(blob)}}, nil
 }
 
 // RepairNow runs one anti-entropy round and returns what it did.
@@ -157,7 +164,7 @@ func viewVote(v replicaView) vote {
 // so pushing it donor − dissenter now would apply them twice.
 //
 // Phase 2, outside the cut: per key, majority-vote the replicas'
-// rounded bits; the majority member is the donor, and every dissenter
+// exact states; the majority member is the donor, and every dissenter
 // is pushed donor − dissenter as an exact wire partial. Writes racing
 // phase 2 commute past the pushes (both donor and dissenter receive
 // them), so the end state is donor ⊕ new-writes on every replica.
@@ -215,12 +222,17 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 				continue // unreachable this round
 			}
 			acc, _ := st.CloneAcc(key)
-			views = append(views, replicaView{name: name, acc: acc})
+			v, err := p.viewOf(name, acc)
+			if err != nil {
+				stats.Errors++
+				continue
+			}
+			views = append(views, v)
 		}
 		need := len(views)/2 + 1
 		counts := map[vote]int{}
 		for _, v := range views {
-			counts[viewVote(v)]++
+			counts[v.vote]++
 		}
 		var winner vote
 		found := false
@@ -240,13 +252,13 @@ func (p *Proxy) RepairNow(ctx context.Context) RepairStats {
 		// element: dissenters are pushed their own negation.
 		var donor engine.Accumulator
 		for _, v := range views {
-			if viewVote(v) == winner && v.acc != nil {
+			if v.vote == winner && v.acc != nil {
 				donor = v.acc
 				break
 			}
 		}
 		for _, v := range views {
-			if viewVote(v) == winner {
+			if v.vote == winner {
 				continue
 			}
 			diff := p.eng.NewAccumulator()
