@@ -52,11 +52,9 @@
 package proxy
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -69,6 +67,7 @@ import (
 	"parsum/internal/keyed"
 	"parsum/internal/ring"
 	"parsum/internal/sumdclient"
+	"parsum/internal/sumdsrv"
 )
 
 // MaxBodyBytes is the default request-body cap.
@@ -347,39 +346,6 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	}{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeValues reads the request body as raw little-endian float64s
-// (application/octet-stream) or JSON {"values":[...]}.
-func (p *Proxy) decodeValues(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, p.maxBody+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		return nil, false
-	}
-	if int64(len(body)) > p.maxBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", p.maxBody)
-		return nil, false
-	}
-	if ct := r.Header.Get("Content-Type"); ct == "application/json" {
-		var req struct {
-			Values []float64 `json:"values"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding JSON body: %v", err)
-			return nil, false
-		}
-		return req.Values, true
-	}
-	if len(body)%8 != 0 {
-		writeErr(w, http.StatusBadRequest, "octet-stream body length %d is not a multiple of 8", len(body))
-		return nil, false
-	}
-	xs := make([]float64, len(body)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return xs, true
-}
-
 // envelope builds the single-key keyed envelope carrying xs (negated
 // when sub) — the unit every replica leg, retry, and hint replay of
 // this write delivers under one token.
@@ -397,17 +363,15 @@ func (p *Proxy) envelope(key string, xs []float64, sub bool) ([]byte, error) {
 }
 
 func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, sub bool) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeErr(w, http.StatusBadRequest, "missing key parameter (the proxy routes keyed writes only)")
-		return
-	}
-	if len(key) > keyed.MaxKeyLen {
-		writeErr(w, http.StatusBadRequest, "key length %d exceeds %d", len(key), keyed.MaxKeyLen)
-		return
-	}
-	xs, ok := p.decodeValues(w, r)
+	// The backends' own decoder, so the proxy accepts exactly the bodies
+	// a sumd /v1/add accepts; it answers 400 and 413 itself.
+	r.Body = http.MaxBytesReader(w, r.Body, p.maxBody)
+	xs, key, ok := sumdsrv.DecodeBatch(w, r)
 	if !ok {
+		return
+	}
+	if key == "" {
+		writeErr(w, http.StatusBadRequest, "missing key (the proxy routes keyed writes only)")
 		return
 	}
 	blob, err := p.envelope(key, xs, sub)

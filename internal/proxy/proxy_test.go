@@ -181,6 +181,28 @@ func TestWriteValidation(t *testing.T) {
 	}
 }
 
+// TestWriteJSONWithCharset: a Content-Type parameter does not change the
+// media type. The proxy once routed on the exact header string, so
+// {"values":[1,2]} sent as "application/json; charset=utf-8" decoded as
+// two raw float64s and every replica stored 7.458627505809701e+295.
+func TestWriteJSONWithCharset(t *testing.T) {
+	f := startFleet(t, 3, sumdsrv.Options{})
+	_, hs := newProxy(t, f, nil)
+	resp, err := http.Post(hs.URL+"/v1/add?key=k", "application/json; charset=utf-8", strings.NewReader(`{"values":[1,2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := drain(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	for _, name := range f.names {
+		v, ok, err := f.direct[name].SumKey(context.Background(), "k")
+		if err != nil || !ok || v != 3 {
+			t.Errorf("%s: sum %g ok=%t err=%v, want 3", name, v, ok, err)
+		}
+	}
+}
+
 func TestReadFailover(t *testing.T) {
 	f := startFleet(t, 3, sumdsrv.Options{})
 	p, hs := newProxy(t, f, nil)

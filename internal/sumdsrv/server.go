@@ -52,7 +52,6 @@
 package sumdsrv
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -61,6 +60,7 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -539,23 +539,30 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
+		writeBodyError(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
-// decodeBatch parses the shared /v1/add and /v1/sub body formats: raw
+// batchChunk is the read size of a binary batch body: each chunk is
+// converted straight into the decoded []float64, so the body itself is
+// never held whole.
+const batchChunk = 4 << 10
+
+// presizeVals bounds how far a declared Content-Length may presize a
+// binary batch past the values that have actually arrived (32 KiB).
+const presizeVals = 4 << 10
+
+// DecodeBatch parses the shared /v1/add and /v1/sub body formats: raw
 // little-endian float64s (application/octet-stream) or a single JSON
 // {"values":[...],"key":...} document, and resolves the target key from
-// the ?key= query parameter and/or the JSON field. It writes the error
-// response itself and reports ok = false on malformed payloads.
-func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []float64, key string, ok bool) {
+// the ?key= query parameter and/or the JSON field. Binary bodies decode
+// chunk by chunk straight into the result. DecodeBatch writes the error
+// response itself and reports ok = false: 413 when the body hits its
+// http.MaxBytesReader cap, 400 for a malformed payload. sumproxy decodes
+// its writes through it too, so both services accept the same bodies.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (xs []float64, key string, ok bool) {
 	queryKey := r.URL.Query().Get("key")
 	// Content-Type may carry parameters (RFC 9110); route on the media
 	// type alone.
@@ -564,31 +571,31 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []floa
 		mediaType = mt
 	}
 	if mediaType == "application/octet-stream" {
-		if len(body)%8 != 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("binary batch length %d is not a multiple of 8", len(body)))
+		xs, err := readFloats(r.Body, r.ContentLength)
+		if err != nil {
+			writeBodyError(w, err)
 			return nil, "", false
 		}
 		if !checkKeyParam(w, queryKey) {
 			return nil, "", false
 		}
-		xs = make([]float64, len(body)/8)
-		for i := range xs {
-			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
 		return xs, queryKey, true
 	}
 	var req AddRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding JSON batch: %w", err))
+		writeBodyError(w, fmt.Errorf("decoding JSON batch: %w", err))
 		return nil, "", false
 	}
 	// A batch is one JSON value; trailing content would otherwise be
 	// silently dropped data.
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		writeError(w, http.StatusBadRequest, errors.New("trailing data after JSON batch"))
+		var mbe *http.MaxBytesError
+		if !errors.As(err, &mbe) {
+			err = errors.New("trailing data after JSON batch")
+		}
+		writeBodyError(w, err)
 		return nil, "", false
 	}
 	key = req.Key
@@ -604,6 +611,56 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, body []byte) (xs []floa
 		return nil, "", false
 	}
 	return req.Values, key, true
+}
+
+// readFloats decodes a raw little-endian float64 body in batchChunk
+// reads. declared is the request's Content-Length (−1 when unknown): it
+// may presize the result, but never more than presizeVals values past
+// what has arrived, so a forged length cannot force a large allocation;
+// a body that ends short of it is malformed.
+func readFloats(body io.Reader, declared int64) ([]float64, error) {
+	buf := make([]byte, batchChunk)
+	var xs []float64
+	var n int64
+	for {
+		m, err := io.ReadFull(body, buf)
+		n += int64(m)
+		end := err == io.EOF || err == io.ErrUnexpectedEOF
+		if err != nil && !end {
+			return nil, err
+		}
+		if m%8 != 0 {
+			return nil, fmt.Errorf("binary batch length %d is not a multiple of 8", n)
+		}
+		if need := len(xs) + m/8; need > cap(xs) {
+			c := max(need, 2*cap(xs))
+			if declared >= 0 {
+				c = max(need, min(int(declared/8), max(c, need+presizeVals)))
+			}
+			xs = slices.Grow(xs, c-len(xs))
+		}
+		for i := 0; i < m; i += 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(buf[i:])))
+		}
+		if end {
+			break
+		}
+	}
+	if declared >= 0 && n != declared {
+		return nil, fmt.Errorf("binary batch ended after %d of %d declared bytes", n, declared)
+	}
+	return xs, nil
+}
+
+// writeBodyError answers a failed body read or parse: 413 when the
+// size cap was hit (split and retry), 400 otherwise (malformed payload).
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
 }
 
 // checkKeyParam rejects over-length keys at the network edge with 400
@@ -695,11 +752,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	xs, key, ok := decodeBatch(w, r, body)
+	xs, key, ok := DecodeBatch(w, r)
 	if !ok {
 		return
 	}
@@ -717,11 +770,7 @@ func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("engine %q does not support exact deletion", s.sh.Engine()))
 		return
 	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	xs, key, ok := decodeBatch(w, r, body)
+	xs, key, ok := DecodeBatch(w, r)
 	if !ok {
 		return
 	}
