@@ -146,8 +146,8 @@ func BenchmarkExtMem(b *testing.B) {
 // Lemma 1 merge vs carry-propagating merge of full-range accumulators.
 func BenchmarkCarryFree(b *testing.B) {
 	xs := dataset(gen.Random, 1<<14, 2000)
-	mkDense := func() *accum.Dense {
-		d := accum.NewDense(0)
+	mkDense := func() *accum.Window {
+		d := accum.NewFullWindow(0)
 		d.AddSlice(xs)
 		d.Regularize()
 		return d
@@ -245,7 +245,7 @@ func BenchmarkSequential(b *testing.B) {
 // BenchmarkAddSlice measures the block-structured bulk accumulation path
 // per representation against the scalar per-element loop it replaced, on
 // a wide exponent distribution (general three-digit scatter) and a narrow
-// one (where Dense and Small take the exponent-window lane fast path).
+// one (every representation runs the same lane pass at the canonical width).
 // The block/scalar pairs make each path's contribution individually
 // visible; see DESIGN.md §3d.
 func BenchmarkAddSlice(b *testing.B) {
@@ -266,7 +266,7 @@ func BenchmarkAddSlice(b *testing.B) {
 		name string
 		mk   func() acc
 	}{
-		{"dense", func() acc { return accum.NewDense(0) }},
+		{"dense", func() acc { return accum.NewFullWindow(0) }},
 		{"small", func() acc { return accum.NewSmall() }},
 		{"window", func() acc { return accum.NewWindow(0) }},
 	}
@@ -300,7 +300,7 @@ func BenchmarkAddSlice(b *testing.B) {
 	for i, x := range dataset(gen.Random, n, 60) {
 		xs32[i] = float32(x)
 	}
-	d32 := accum.NewDense(0)
+	d32 := accum.NewFullWindow(0)
 	buf := make([]float64, n)
 	b.Run("dense/f32/lane", func(b *testing.B) {
 		b.ReportAllocs()

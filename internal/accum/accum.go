@@ -2,16 +2,17 @@
 // Goodrich & Eldawy, "Parallel Algorithms for Summing Floating-Point
 // Numbers" (SPAA 2016):
 //
-//   - Dense: an (α,β)-regularized superaccumulator over the full
-//     double-precision exponent range, with α = β = R−1 for radix R = 2^W
-//     (the paper's generalized-signed-digit extension to floating point).
-//     Addition of two regularized accumulators is carry-free in the sense of
-//     Lemma 1: every carry moves to the adjacent component and no further,
-//     so all components of a sum can be produced independently in parallel.
+//   - Window: an (α,β)-regularized superaccumulator with α = β = R−1 for
+//     radix R = 2^W (the paper's generalized-signed-digit extension to
+//     floating point), storing one contiguous range of digits — the
+//     data's active range, or the whole double-precision range when
+//     pre-sized by NewFullWindow. Addition of two regularized
+//     accumulators is carry-free in the sense of Lemma 1: every carry
+//     moves to the adjacent component and no further, so all components
+//     of a sum can be produced independently in parallel. It backs both
+//     the dense and the sparse engine.
 //   - Sparse: the paper's sparse superaccumulator — the vector of active
 //     (index, signed mantissa) components — with a carry-free merge.
-//   - Window: a contiguous-active-range accumulate buffer used to build
-//     sparse superaccumulators at streaming speed.
 //   - Truncated: the γ-truncated sparse superaccumulator of Section 4.
 //   - Small, Large: Neal-style carry-propagating superaccumulators, the
 //     baselines the paper's MapReduce experiments compare variants against.

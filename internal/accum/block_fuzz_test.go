@@ -71,7 +71,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 		}
 		del := xs[len(xs)-nsub:]
 
-		bd, od := NewDense(0), NewDense(0)
+		bd, od := NewFullWindow(0), NewFullWindow(0)
 		bs, os := NewSmall(), NewSmall()
 		bw, ow := NewWindow(0), NewWindow(0)
 
@@ -98,7 +98,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 
 		bd.Regularize()
 		od.Regularize()
-		if !slices.Equal(bd.dig, od.dig) || bd.sp != od.sp {
+		if !slices.Equal(bd.win, od.win) || bd.sp != od.sp {
 			t.Fatalf("dense block path diverges from scalar oracle\nblock:  %v\nscalar: %v", bd, od)
 		}
 		bs.Propagate()
@@ -122,7 +122,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 		if len(xs32) > 0 {
 			p32 = split % (len(xs32) + 1)
 		}
-		b32, o32 := NewDense(0), NewDense(0)
+		b32, o32 := NewFullWindow(0), NewFullWindow(0)
 		b32.AddSlice32(xs32[:p32])
 		b32.AddSlice32(xs32[p32:])
 		b32.SubSlice32(xs32[:p32])
@@ -134,7 +134,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 		}
 		b32.Regularize()
 		o32.Regularize()
-		if !slices.Equal(b32.dig, o32.dig) || b32.sp != o32.sp {
+		if !slices.Equal(b32.win, o32.win) || b32.sp != o32.sp {
 			t.Fatalf("f32 lane path diverges from scalar oracle\nlane:   %v\nscalar: %v", b32, o32)
 		}
 		if g, want := b32.Round32(), o32.Round32(); math.Float32bits(g) != math.Float32bits(want) {

@@ -110,12 +110,12 @@ func TestBlockVsScalarDense(t *testing.T) {
 	for _, w := range []uint{8, 20, 32} {
 		for name, xs := range blockCases(t) {
 			a, b, sub := splitSlices(xs)
-			blk := NewDense(w)
+			blk := NewFullWindow(w)
 			blk.AddSlice(a)
 			blk.AddSlice(b)
 			blk.SubSlice(sub)
 
-			ora := NewDense(w)
+			ora := NewFullWindow(w)
 			for _, x := range xs {
 				ora.Add(x)
 			}
@@ -125,7 +125,7 @@ func TestBlockVsScalarDense(t *testing.T) {
 
 			blk.Regularize()
 			ora.Regularize()
-			if !slices.Equal(blk.dig, ora.dig) || blk.sp != ora.sp {
+			if !slices.Equal(blk.win, ora.win) || blk.sp != ora.sp {
 				t.Fatalf("W=%d %s: block path state diverges from scalar oracle\nblock:  %v\nscalar: %v", w, name, blk, ora)
 			}
 			if g, want := blk.Round(), ora.Round(); math.Float64bits(g) != math.Float64bits(want) {
@@ -203,7 +203,7 @@ func TestLaneFastPathEngages(t *testing.T) {
 	for i := range wide {
 		wide[i] = math.Ldexp(1+float64(i%7)/8, (i%40)*20-400)
 	}
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.AddSlice(wide)
 	if d.nAdd != 4 {
 		t.Fatalf("wide slice charged %d lazy digit adds, want 4 (one lane drain)", d.nAdd)
@@ -213,7 +213,7 @@ func TestLaneFastPathEngages(t *testing.T) {
 		t.Fatalf("second bulk call left %d lazy digit adds, want 8 (two lane drains)", d.nAdd)
 	}
 
-	d8 := NewDense(8)
+	d8 := NewFullWindow(8)
 	d8.AddSlice(wide)
 	if d8.nAdd != len(wide) {
 		t.Fatalf("non-canonical width charged %d lazy digit adds, want %d (scalar path)", d8.nAdd, len(wide))
@@ -222,7 +222,7 @@ func TestLaneFastPathEngages(t *testing.T) {
 	// Specials divert only themselves: the finite elements stay in the
 	// lane cache, the special lands out of band via the repair pass.
 	mixed := []float64{1.5, math.Inf(1), 2.5, math.NaN()}
-	dm := NewDense(0)
+	dm := NewFullWindow(0)
 	dm.AddSlice(mixed)
 	if dm.nAdd != 4 {
 		t.Fatalf("mixed slice charged %d lazy digit adds, want 4", dm.nAdd)
@@ -237,7 +237,7 @@ func TestLaneFastPathEngages(t *testing.T) {
 	// A saturated lane budget drains mid-call: 1000 elements at 256 per
 	// drain is three mid-call drains plus the final one.
 	forceLaneBudget(t, 256)
-	ds := NewDense(0)
+	ds := NewFullWindow(0)
 	ds.AddSlice(wide)
 	if ds.nAdd != 16 {
 		t.Fatalf("budget-256 slice charged %d lazy digit adds, want 16 (four drains)", ds.nAdd)
@@ -266,7 +266,7 @@ func TestLaneFlushBoundaries(t *testing.T) {
 			for name, xs := range blockCases(t) {
 				a, b, sub := splitSlices(xs)
 
-				bd, od := NewDense(0), NewDense(0)
+				bd, od := NewFullWindow(0), NewFullWindow(0)
 				bs, os := NewSmall(), NewSmall()
 				bw, ow := NewWindow(0), NewWindow(0)
 				for _, acc := range []interface {
@@ -294,7 +294,7 @@ func TestLaneFlushBoundaries(t *testing.T) {
 
 				bd.Regularize()
 				od.Regularize()
-				if !slices.Equal(bd.dig, od.dig) || bd.sp != od.sp {
+				if !slices.Equal(bd.win, od.win) || bd.sp != od.sp {
 					t.Fatalf("%s: dense flush-boundary state diverges from scalar oracle", name)
 				}
 				bs.Propagate()
@@ -378,7 +378,7 @@ func TestLane32VsScalar(t *testing.T) {
 				p := len(xs) / 3
 				sub := xs[:p]
 
-				bd, od := NewDense(0), NewDense(0)
+				bd, od := NewFullWindow(0), NewFullWindow(0)
 				bs, os := NewSmall(), NewSmall()
 				bw, ow := NewWindow(0), NewWindow(0)
 				for _, acc := range []interface {
@@ -402,7 +402,7 @@ func TestLane32VsScalar(t *testing.T) {
 
 				bd.Regularize()
 				od.Regularize()
-				if !slices.Equal(bd.dig, od.dig) || bd.sp != od.sp {
+				if !slices.Equal(bd.win, od.win) || bd.sp != od.sp {
 					t.Fatalf("%s: dense f32 lane path diverges from scalar oracle\nlane:   %v\nscalar: %v", name, bd, od)
 				}
 				bs.Propagate()
@@ -433,11 +433,11 @@ func TestLanePendingConsumers(t *testing.T) {
 	}
 
 	// Merge with both sides dirty.
-	a, b := NewDense(0), NewDense(0)
+	a, b := NewFullWindow(0), NewFullWindow(0)
 	a.AddSlice(xs[:200])
 	b.AddSlice(xs[200:])
 	a.Merge(b)
-	want := NewDense(0)
+	want := NewFullWindow(0)
 	for _, x := range xs {
 		want.Add(x)
 	}
@@ -446,7 +446,7 @@ func TestLanePendingConsumers(t *testing.T) {
 	}
 
 	// AddNeg with both sides dirty cancels exactly.
-	c, d := NewDense(0), NewDense(0)
+	c, d := NewFullWindow(0), NewFullWindow(0)
 	c.AddSlice(xs)
 	d.AddSlice(xs)
 	c.AddNeg(d)
@@ -455,10 +455,10 @@ func TestLanePendingConsumers(t *testing.T) {
 	}
 
 	// Neg of a dirty accumulator.
-	e := NewDense(0)
+	e := NewFullWindow(0)
 	e.AddSlice(xs)
 	e.Neg()
-	f := NewDense(0)
+	f := NewFullWindow(0)
 	for _, x := range xs {
 		f.Add(-x)
 	}
@@ -468,7 +468,7 @@ func TestLanePendingConsumers(t *testing.T) {
 
 	// Clone must copy pending lanes; mutating the clone leaves the
 	// original intact.
-	g := NewDense(0)
+	g := NewFullWindow(0)
 	g.AddSlice(xs)
 	h := g.Clone()
 	h.AddSlice(xs)
@@ -477,14 +477,14 @@ func TestLanePendingConsumers(t *testing.T) {
 	}
 
 	// MarshalBinary round-trips the pending value.
-	m := NewDense(0)
+	m := NewFullWindow(0)
 	m.AddSlice(xs)
-	blob, err := m.MarshalBinary()
+	blob, err := m.MarshalDense()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Dense
-	if err := back.UnmarshalBinary(blob); err != nil {
+	var back Window
+	if err := back.UnmarshalDense(blob); err != nil {
 		t.Fatal(err)
 	}
 	if gv, wv := back.Round(), want.Round(); math.Float64bits(gv) != math.Float64bits(wv) {
@@ -493,7 +493,7 @@ func TestLanePendingConsumers(t *testing.T) {
 
 	// AddRegularized regularizes a dirty side rather than reading stale
 	// digits.
-	p, q := NewDense(0), NewDense(0)
+	p, q := NewFullWindow(0), NewFullWindow(0)
 	p.AddSlice(xs[:100])
 	p.Regularize()
 	q.AddSlice(xs[100:])
@@ -539,7 +539,7 @@ func TestLaneSlicesZeroAlloc(t *testing.T) {
 		SubSlice([]float64)
 		AddSlice32([]float32)
 		SubSlice32([]float32)
-	}{"dense": NewDense(0), "small": NewSmall(), "window": NewWindow(0)}
+	}{"dense": NewFullWindow(0), "small": NewSmall(), "window": NewWindow(0)}
 	for name, h := range hosts {
 		h.AddSlice(xs) // grow a Window to its full range first
 		for op, f := range map[string]func(){

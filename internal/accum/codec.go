@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Binary wire format for superaccumulators, so partial sums can be
@@ -219,26 +220,20 @@ func (s *Sparse) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes d compactly (nonzero digits only). The accumulator
-// is regularized as a side effect. It implements encoding.BinaryMarshaler.
-func (d *Dense) MarshalBinary() ([]byte, error) {
-	d.Regularize()
-	var idx []int32
-	var dig []int64
-	for i, v := range d.dig {
-		if v != 0 {
-			idx = append(idx, int32(d.minIdx+i))
-			dig = append(dig, v)
-		}
-	}
-	buf := appendHeader(nil, 'D', d.w, d.sp)
+// MarshalDense encodes a's value as the dense ('D') payload: the nonzero
+// digits of its full-range regularized form (see denseComponents), the
+// bytes the dense engine has always put on the wire. The window is
+// regularized as a side effect.
+func (a *Window) MarshalDense() ([]byte, error) {
+	idx, dig := a.denseComponents()
+	buf := appendHeader(nil, 'D', a.w, a.sp)
 	return appendComponents(buf, idx, dig), nil
 }
 
-// UnmarshalBinary decodes into d, replacing its contents. Components
-// outside the double-precision digit range are rejected. It implements
-// encoding.BinaryUnmarshaler.
-func (d *Dense) UnmarshalBinary(data []byte) error {
+// UnmarshalDense decodes a dense ('D') payload into a, replacing its
+// contents. Components outside the double-precision digit range are
+// rejected, and the window covers only the decoded components' span.
+func (a *Window) UnmarshalDense(data []byte) error {
 	w, sp, rest, err := parseHeader(data, 'D')
 	if err != nil {
 		return err
@@ -247,18 +242,66 @@ func (d *Dense) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	nd := NewDense(w)
-	for k, ix := range idx {
-		i := int(ix) - nd.minIdx
-		if i < 0 || i >= len(nd.dig) {
-			return fmt.Errorf("%w: component index %d outside dense range", ErrCodecInvalid, ix)
-		}
-		nd.dig[i] = dig[k]
-	}
-	nd.sp = sp
-	nd.nAdd = 1
-	*d = *nd
+	a.setComponents(w, sp, idx, dig)
 	return nil
+}
+
+// denseComponents returns the nonzero digits of a's regularized form over
+// the whole digit range — the content of 'D' and 'L' payloads. Regularize
+// leaves a negative value's top run collapsed to one −1 digit at index s;
+// over the whole range the same value is R−1 at every index from s up to
+// the top digit, and −1 at the top. The window is regularized as a side
+// effect.
+func (a *Window) denseComponents() (idx []int32, dig []int64) {
+	a.Regularize()
+	n := len(a.win)
+	neg := n > 0 && a.win[n-1] < 0
+	if neg {
+		n--
+	}
+	for i, v := range a.win[:n] {
+		if v != 0 {
+			idx = append(idx, int32(a.base+i))
+			dig = append(dig, v)
+		}
+	}
+	if neg {
+		_, maxIdx := digitBounds(a.w)
+		for i := a.base + n; i < maxIdx; i++ {
+			idx = append(idx, int32(i))
+			dig = append(dig, int64(1)<<a.w-1)
+		}
+		idx = append(idx, int32(maxIdx))
+		dig = append(dig, -1)
+	}
+	return idx, dig
+}
+
+// setComponents replaces a's contents with validated components. A run
+// (R−1, …, R−1, −1) at the top — a negative value in full-range form —
+// is stored collapsed to one −1 digit, as Regularize leaves it, so the
+// window covers only the value's own span.
+func (a *Window) setComponents(w uint, sp special, idx []int32, dig []int64) {
+	if n := len(dig); n > 0 && dig[n-1] == -1 {
+		mask := int64(1)<<w - 1
+		s := n - 1
+		for s > 0 && dig[s-1] == mask && idx[s-1] == idx[s]-1 {
+			s--
+		}
+		idx, dig = idx[:s+1], dig[:s+1]
+		dig[s] = -1
+	}
+	a.w, a.sp, a.maxAdd, a.nAdd = w, sp, maxLazyAdds(w), 1
+	a.win, a.base = a.win[:0], 0
+	if len(idx) > 0 {
+		lo, hi := int(idx[0]), int(idx[len(idx)-1])
+		a.base = lo
+		a.win = slices.Grow(a.win, hi-lo+1)[:hi-lo+1]
+		clear(a.win)
+		for k, ix := range idx {
+			a.win[int(ix)-lo] = dig[k]
+		}
+	}
 }
 
 // MarshalBinary encodes a's value as the sparse-component ('S') payload —
@@ -282,16 +325,7 @@ func (a *Window) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	a.w, a.sp, a.maxAdd, a.nAdd = w, sp, maxLazyAdds(w), 1
-	a.win, a.base = a.win[:0], 0
-	if len(idx) > 0 {
-		lo, hi := int(idx[0]), int(idx[len(idx)-1])
-		a.base = lo
-		a.win = append(a.win, make([]int64, hi-lo+1)...)
-		for k, ix := range idx {
-			a.win[int(ix)-lo] = dig[k]
-		}
-	}
+	a.setComponents(w, sp, idx, dig)
 	return nil
 }
 
@@ -341,19 +375,11 @@ func (s *Small) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes l's value (kind 'L') by folding every exponent bin
-// into the dense base and emitting its nonzero digits. It implements
+// into the base window and emitting its full-range digits. It implements
 // encoding.BinaryMarshaler.
 func (l *Large) MarshalBinary() ([]byte, error) {
 	l.fold()
-	l.base.Regularize()
-	var idx []int32
-	var dig []int64
-	for i, v := range l.base.dig {
-		if v != 0 {
-			idx = append(idx, int32(l.base.minIdx+i))
-			dig = append(dig, v)
-		}
-	}
+	idx, dig := l.base.denseComponents()
 	sp := l.sp
 	sp.merge(l.base.sp)
 	buf := appendHeader(nil, 'L', l.base.w, sp)
@@ -375,14 +401,7 @@ func (l *Large) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	nl := NewLarge()
-	for k, ix := range idx {
-		i := int(ix) - nl.base.minIdx
-		if i < 0 || i >= len(nl.base.dig) {
-			return fmt.Errorf("%w: component index %d outside dense range", ErrCodecInvalid, ix)
-		}
-		nl.base.dig[i] = dig[k]
-	}
-	nl.base.nAdd = 1
+	nl.base.setComponents(w, special{}, idx, dig)
 	nl.sp = sp
 	*l = *nl
 	return nil

@@ -14,8 +14,6 @@ import (
 var (
 	_ encoding.BinaryMarshaler   = (*Sparse)(nil)
 	_ encoding.BinaryUnmarshaler = (*Sparse)(nil)
-	_ encoding.BinaryMarshaler   = (*Dense)(nil)
-	_ encoding.BinaryUnmarshaler = (*Dense)(nil)
 	_ encoding.BinaryMarshaler   = (*Window)(nil)
 	_ encoding.BinaryUnmarshaler = (*Window)(nil)
 	_ encoding.BinaryMarshaler   = (*Small)(nil)
@@ -53,14 +51,14 @@ func TestDenseCodecRoundTrip(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		w := uint(8 + r.Intn(25))
 		xs := randValues(r, 1+r.Intn(60), true)
-		d := NewDense(w)
+		d := NewFullWindow(w)
 		d.AddSlice(xs)
-		data, err := d.MarshalBinary()
+		data, err := d.MarshalDense()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back Dense
-		if err := back.UnmarshalBinary(data); err != nil {
+		var back Window
+		if err := back.UnmarshalDense(data); err != nil {
 			t.Fatal(err)
 		}
 		want := oracle.Sum(xs)
@@ -69,7 +67,7 @@ func TestDenseCodecRoundTrip(t *testing.T) {
 		}
 		// Decoded accumulators must remain usable.
 		back.Add(1.5)
-		d2 := NewDense(w)
+		d2 := NewFullWindow(w)
 		d2.AddSlice(xs)
 		d2.Add(1.5)
 		ga, gb := back.Round(), d2.Round()
@@ -134,14 +132,14 @@ func TestCodecSpecialMultiplicities(t *testing.T) {
 
 	// Net deletion: a combiner that only retracted a NaN ships count −1,
 	// which must cancel a NaN on the receiving side after a round trip.
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Sub(math.NaN())
-	data, err = d.MarshalBinary()
+	data, err = d.MarshalDense()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dback Dense
-	if err := dback.UnmarshalBinary(data); err != nil {
+	var dback Window
+	if err := dback.UnmarshalDense(data); err != nil {
 		t.Fatal(err)
 	}
 	dback.Add(2.5)
@@ -201,8 +199,8 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 	// Kind confusion: a sparse blob must not decode as dense.
-	var dd Dense
-	if err := dd.UnmarshalBinary(data); err == nil {
+	var dd Window
+	if err := dd.UnmarshalDense(data); err == nil {
 		t.Fatal("sparse decoded as dense")
 	}
 }
@@ -211,8 +209,8 @@ func TestCodecQuickNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		var s Sparse
 		_ = s.UnmarshalBinary(data) // must not panic; error is fine
-		var d Dense
-		_ = d.UnmarshalBinary(data)
+		var d Window
+		_ = d.UnmarshalDense(data)
 		var w Window
 		_ = w.UnmarshalBinary(data)
 		var sm Small
@@ -357,15 +355,15 @@ func TestCodecMalformedPayloads(t *testing.T) {
 		{"bad-width-high", append(head('S', 33, 0), 0)},                          //
 		{"small-wrong-width", append(head('N', 16, 0), 0)},                       // Small is fixed W=32
 		{"large-wrong-width", append(head('L', 16, 0), 0)},                       // Large base is fixed W=32
-		{"sparse-as-dense-kind-confusion", append(head('S', 32, 0), 0)},          // decoded below as Dense
+		{"sparse-as-dense-kind-confusion", append(head('S', 32, 0), 0)},          // decoded below as dense
 		{"count-lies-buffer-has-fewer", append(head('S', 32, 0), 3, 1, 2, 2, 2)}, // 3 claimed, 2 present
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var s Sparse
 			if tc.name == "sparse-as-dense-kind-confusion" {
-				var d Dense
-				if err := d.UnmarshalBinary(tc.data); err == nil {
+				var d Window
+				if err := d.UnmarshalDense(tc.data); err == nil {
 					t.Fatal("kind confusion accepted")
 				}
 				return

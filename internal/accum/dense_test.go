@@ -50,7 +50,7 @@ func randValues(r *rand.Rand, n int, wild bool) []float64 {
 func TestDenseSingleValueRoundTrip(t *testing.T) {
 	for _, w := range []uint{8, 13, 16, 24, 29, 32} {
 		for _, x := range interestingValues {
-			d := NewDense(w)
+			d := NewFullWindow(w)
 			d.Add(x)
 			got := d.Round()
 			want := x
@@ -69,7 +69,7 @@ func TestDenseMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(60)
 		xs := randValues(r, n, true)
-		d := NewDense(uint(8 + r.Intn(25)))
+		d := NewFullWindow(uint(8 + r.Intn(25)))
 		d.AddSlice(xs)
 		got := d.Round()
 		want := oracle.Sum(xs)
@@ -81,7 +81,7 @@ func TestDenseMatchesOracle(t *testing.T) {
 
 func TestDenseCancellation(t *testing.T) {
 	// Massive cancellation: pairs that annihilate exactly plus a tiny residue.
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		v := math.Ldexp(1+float64(i), 900-i%1800)
@@ -106,7 +106,7 @@ func TestDenseSpecials(t *testing.T) {
 		{[]float64{math.Inf(1), math.NaN()}, math.NaN()},
 	}
 	for _, c := range cases {
-		d := NewDense(0)
+		d := NewFullWindow(0)
 		d.AddSlice(c.xs)
 		got := d.Round()
 		if got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
@@ -116,7 +116,7 @@ func TestDenseSpecials(t *testing.T) {
 }
 
 func TestDenseOverflowToInf(t *testing.T) {
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Add(math.MaxFloat64)
 	d.Add(math.MaxFloat64)
 	if got := d.Round(); !math.IsInf(got, 1) {
@@ -157,7 +157,7 @@ func TestDenseSubnormalResults(t *testing.T) {
 		{[]float64{0x1.8p-1073, -0x1p-1074}, 0x1p-1073},
 	}
 	for _, c := range cases {
-		d := NewDense(0)
+		d := NewFullWindow(0)
 		d.AddSlice(c.xs)
 		if got := d.Round(); got != c.want {
 			t.Errorf("sum%v = %g (%b), want %g (%b)", c.xs, got, got, c.want, c.want)
@@ -167,7 +167,7 @@ func TestDenseSubnormalResults(t *testing.T) {
 
 func TestDenseRoundHalfEven(t *testing.T) {
 	// 1 + 2^-53 is exactly halfway between 1 and 1+2^-52: rounds to 1 (even).
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Add(1)
 	d.Add(0x1p-53)
 	if got := d.Round(); got != 1 {
@@ -198,7 +198,7 @@ func TestDenseLemma1Invariant(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			xs := randValues(r, 1+r.Intn(40), true)
 			ys := randValues(r, 1+r.Intn(40), true)
-			a, b := NewDense(w), NewDense(w)
+			a, b := NewFullWindow(w), NewFullWindow(w)
 			a.AddSlice(xs)
 			b.AddSlice(ys)
 			a.Regularize()
@@ -224,7 +224,7 @@ func TestDenseMergeMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		xs := randValues(r, 1+r.Intn(100), true)
 		cut := r.Intn(len(xs) + 1)
-		a, b, c := NewDense(0), NewDense(0), NewDense(0)
+		a, b, c := NewFullWindow(0), NewFullWindow(0), NewFullWindow(0)
 		a.AddSlice(xs[:cut])
 		b.AddSlice(xs[cut:])
 		c.AddSlice(xs)
@@ -240,7 +240,7 @@ func TestDenseLazyRegularizationOverflow(t *testing.T) {
 	// confirm the forced regularization keeps the value exact. Width 8
 	// makes the budget small enough to cross quickly (2^54 would be too
 	// slow; instead check the trigger fires by lowering it).
-	d := NewDense(8)
+	d := NewFullWindow(8)
 	d.maxAdd = 100
 	xs := make([]float64, 1000)
 	for i := range xs {
@@ -263,7 +263,7 @@ func TestDenseQuickFaithful(t *testing.T) {
 			}
 			xs = append(xs, x)
 		}
-		d := NewDense(0)
+		d := NewFullWindow(0)
 		d.AddSlice(xs)
 		return d.Round() == oracle.Sum(xs)
 	}

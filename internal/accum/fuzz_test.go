@@ -38,9 +38,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if data, err := win.ToSparse().MarshalBinary(); err == nil {
 			f.Add(data)
 		}
-		d := NewDense(w)
+		d := NewFullWindow(w)
 		d.AddSlice(xs)
-		if data, err := d.MarshalBinary(); err == nil {
+		if data, err := d.MarshalDense(); err == nil {
 			f.Add(data)
 		}
 	}
@@ -74,8 +74,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("re-encode changed value: %g -> %g", want, got)
 			}
 		}
-		var d Dense
-		_ = d.UnmarshalBinary(data)
+		var d Window
+		_ = d.UnmarshalDense(data)
 		var w Window
 		_ = w.UnmarshalBinary(data)
 		var sm Small
@@ -124,11 +124,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return s2.Round(), nil
 		}, want)
 
-		dd := NewDense(width)
+		dd := NewFullWindow(width)
 		dd.AddSlice(xs)
-		check("dense", dd.MarshalBinary, func(b []byte) (float64, error) {
-			var d2 Dense
-			if err := d2.UnmarshalBinary(b); err != nil {
+		check("dense", dd.MarshalDense, func(b []byte) (float64, error) {
+			var d2 Window
+			if err := d2.UnmarshalDense(b); err != nil {
 				return 0, err
 			}
 			return d2.Round(), nil

@@ -8,7 +8,7 @@ import (
 	"parsum/internal/gen"
 )
 
-// BenchmarkLaneCall measures Dense.AddSlice per call at the request sizes
+// BenchmarkLaneCall measures a full-range Window.AddSlice per call at the request sizes
 // the service layers send (1024 values per keyed-ingest write, 256 per
 // replicated write), a Round every tenth call as a read mix, one 4M-value
 // call as the bulk-sum shape, and very short slices, where the per-call
@@ -18,7 +18,7 @@ func BenchmarkLaneCall(b *testing.B) {
 	var sink float64
 	for _, n := range []int{1, 16, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			d := accum.NewDense(0)
+			d := accum.NewFullWindow(0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				off := (i * n) % (len(pool) - n)
@@ -28,7 +28,7 @@ func BenchmarkLaneCall(b *testing.B) {
 		})
 	}
 	b.Run("n=1024/round10", func(b *testing.B) {
-		d := accum.NewDense(0)
+		d := accum.NewFullWindow(0)
 		for i := 0; i < b.N; i++ {
 			off := (i * 1024) % (len(pool) - 1024)
 			d.AddSlice(pool[off : off+1024])
@@ -38,7 +38,7 @@ func BenchmarkLaneCall(b *testing.B) {
 		}
 	})
 	b.Run("n=4M/round", func(b *testing.B) {
-		d := accum.NewDense(0)
+		d := accum.NewFullWindow(0)
 		for i := 0; i < b.N; i++ {
 			d.Reset()
 			d.AddSlice(pool)

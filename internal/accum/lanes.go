@@ -8,7 +8,7 @@ import (
 )
 
 // Carry-save lane cache: the L1-resident middle tier of the digit
-// hierarchy (see DESIGN.md §3e). The canonical dense digit array spans 70
+// hierarchy (see DESIGN.md §3e). A full-range digit string spans 70
 // int64 digits (560 B) but a bulk insert touches it at data-dependent
 // offsets, so wide-exponent streams turn accumulation into scattered
 // read-modify-writes plus per-block classification. The lane cache

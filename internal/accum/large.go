@@ -5,14 +5,14 @@ import "math"
 // Large is a Neal-style "large superaccumulator": one 64-bit bin per IEEE
 // biased exponent value, so accumulating a double is a single signed add of
 // its significand into the bin selected by its exponent — no splitting at
-// all. Bins are folded into a Dense accumulator before they can overflow
+// all. Bins are folded into a base Window before they can overflow
 // and on demand for rounding. It is the fastest sequential accumulate path
 // and serves as an extension baseline (the paper's experiments use the
 // small variant).
 type Large struct {
 	bins [2048]int64 // indexed by the 11-bit biased exponent
 	nAdd int
-	base *Dense
+	base *Window
 	sp   special
 }
 
@@ -22,7 +22,7 @@ const maxLargeAdds = 1 << 10
 
 // NewLarge returns an empty large superaccumulator.
 func NewLarge() *Large {
-	return &Large{base: NewDense(DefaultWidth)}
+	return &Large{base: NewWindow(DefaultWidth)}
 }
 
 // Add accumulates x exactly with a single bin update.
@@ -30,7 +30,7 @@ func (l *Large) Add(x float64) { l.apply(x, 1) }
 
 // Sub deletes x from the accumulated sum exactly — the group inverse of
 // Add, a single signed bin update. Non-finite values are deleted from the
-// out-of-band multiset (see Dense.Sub).
+// out-of-band multiset (see Window.Sub).
 func (l *Large) Sub(x float64) { l.apply(x, -1) }
 
 // apply adds (sign = +1) or deletes (sign = −1) x with one bin update.
@@ -77,7 +77,7 @@ func (l *Large) SubSlice(xs []float64) {
 }
 
 // Neg negates the represented value in place: every exponent bin and every
-// digit of the dense base flips sign, and the infinity multiplicities swap.
+// digit of the base window flips sign, and the infinity multiplicities swap.
 func (l *Large) Neg() {
 	for i := range l.bins {
 		l.bins[i] = -l.bins[i]
@@ -97,7 +97,7 @@ func (l *Large) AddNeg(o *Large) {
 	l.base.AddNeg(o.base)
 }
 
-// fold drains every bin into the dense base accumulator.
+// fold drains every bin into the base window.
 func (l *Large) fold() {
 	for exp, v := range l.bins {
 		if v == 0 {

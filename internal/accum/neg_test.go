@@ -44,9 +44,9 @@ type accOps struct {
 func eachRep(t *testing.T, f func(name string, mk func() accOps)) {
 	build := map[string]func() accOps{
 		"dense": func() accOps {
-			d := NewDense(0)
+			d := NewFullWindow(0)
 			return accOps{d.Add, d.Sub, d.Neg, func(cs string) {
-				o := NewDense(0)
+				o := NewFullWindow(0)
 				o.AddSlice(negCases()[cs])
 				d.AddNeg(o)
 			}, d.Round}
@@ -175,7 +175,7 @@ func TestAddNegDeletesMergedAccumulator(t *testing.T) {
 // schedule rather than overflow digits (exercises the lazy-add accounting
 // on the deletion path).
 func TestSubLazyBudget(t *testing.T) {
-	d := NewDense(MaxWidth) // smallest lazy budget: 2^(62-32) adds
+	d := NewFullWindow(MaxWidth) // smallest lazy budget: 2^(62-32) adds
 	w := NewWindow(MaxWidth)
 	const n = 5000
 	for i := 0; i < n; i++ {

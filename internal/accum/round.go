@@ -156,15 +156,6 @@ func anyBelow(dig []int64, w uint, pos int) bool {
 // accumulator can round its exact value to a narrower format; these are
 // the float32 conveniences used by the public Sum32 API.
 
-// Round32 returns the correctly rounded float32 value of d's exact sum.
-func (d *Dense) Round32() float32 {
-	if v, ok := d.sp.resolved(); ok {
-		return float32(v)
-	}
-	d.Regularize()
-	return float32(roundDigitsTo(d.dig, d.minIdx, d.w, fpnum.Binary32))
-}
-
 // Round32 returns the correctly rounded float32 value of a's exact sum.
 func (a *Window) Round32() float32 {
 	if v, ok := a.sp.resolved(); ok {

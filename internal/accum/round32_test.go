@@ -40,7 +40,7 @@ func oracle32(xs []float32) float32 {
 }
 
 func sum32(xs []float32) float32 {
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	for _, x := range xs {
 		d.Add(float64(x))
 	}
@@ -84,7 +84,7 @@ func TestRound32AvoidsDoubleRounding(t *testing.T) {
 	if got := sum32([]float32{1, 0x1p-24}); got != 1 {
 		t.Fatalf("exact tie: got %g want 1", got)
 	}
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Add(1)
 	d.Add(0x1p-24)
 	d.Add(0x1p-1074) // dust far below float32 range, still must matter
@@ -112,7 +112,7 @@ func TestRound32Subnormals(t *testing.T) {
 	// A float64-scale value far below float32 subnormals rounds to zero,
 	// but a half-boundary value with sticky rounds to the smallest
 	// subnormal.
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Add(0x1p-151) // quarter of the smallest float32 subnormal step
 	if got := d.Round32(); got != 0 {
 		t.Fatalf("far-below: got %g want 0", got)
@@ -173,7 +173,7 @@ func TestRound32AllRepresentations(t *testing.T) {
 			xs64[i] = float64(xs32[i])
 		}
 		want := oracle32(xs32)
-		d := NewDense(uint(8 + r.Intn(25)))
+		d := NewFullWindow(uint(8 + r.Intn(25)))
 		d.AddSlice(xs64)
 		if got := d.Round32(); got != want {
 			t.Fatalf("dense.Round32=%g oracle=%g", got, want)
@@ -211,7 +211,7 @@ func TestRoundToFormatCustomWidth(t *testing.T) {
 	// A made-up binary16-like format (11 significand bits): check a few
 	// hand-computed roundings.
 	f16 := fpnum.Format{SigBits: 11, MinExp: -24, MaxExp: 5}
-	d := NewDense(0)
+	d := NewFullWindow(0)
 	d.Add(1)
 	d.Add(0x1p-11) // exact tie at 11-bit significand: to even = 1
 	d.Regularize()

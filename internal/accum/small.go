@@ -5,7 +5,7 @@ import "parsum/internal/fpnum"
 // Small is a Neal-style "small superaccumulator" (Neal 2015, as used by the
 // paper's MapReduce experiments): a dense array of 64-bit signed chunks at a
 // fixed 32-bit spacing covering the full double-precision range. Unlike
-// Dense it maintains no (α,β) GSD invariant: merging two accumulators
+// Window it maintains no (α,β) GSD invariant: merging two accumulators
 // requires a full sequential carry-propagation pass, which is exactly the
 // carry chain the paper's representation eliminates (see the carry-depth
 // ablation in internal/pram).
@@ -74,7 +74,7 @@ func (s *Small) addChunks(neg bool, m uint64, e int) {
 
 // AddSlice accumulates every element of xs exactly through the carry-save
 // lane pass (see lanes.go): Small's chunk spacing is the canonical 32-bit
-// width, so it shares the L1-resident lane cache machinery with Dense —
+// width, so it shares the L1-resident lane cache machinery with Window —
 // the only difference is where a drain lands. The result is
 // bit-identical to calling Add per element.
 func (s *Small) AddSlice(xs []float64) {
@@ -123,7 +123,7 @@ func (s *Small) addInt64(v int64, e int) {
 
 // Sub deletes x from the accumulated sum exactly — the group inverse of
 // Add. Non-finite values are deleted from the out-of-band multiset (see
-// Dense.Sub).
+// Window.Sub).
 func (s *Small) Sub(x float64) {
 	c := fpnum.Classify(x)
 	if c != fpnum.ClassFinite {

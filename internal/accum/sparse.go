@@ -157,7 +157,7 @@ func MergeSparse(a, b *Sparse) *Sparse {
 
 // Add accumulates a single float64 by merging its O(1)-component
 // superaccumulator. It costs O(Len) per call; bulk construction should use
-// Window (streaming) or Dense.ToSparse instead.
+// Window (streaming) and Window.ToSparse instead.
 func (s *Sparse) Add(x float64) {
 	m := MergeSparse(s, FromFloat64(x, s.w))
 	s.idx, s.dig, s.sp = m.idx, m.dig, m.sp
@@ -166,7 +166,7 @@ func (s *Sparse) Add(x float64) {
 // Sub deletes x from the accumulated sum exactly — the group inverse of
 // Add: it merges the sign-flipped components of x, so a+x−x is bit-for-bit
 // a. Non-finite values are deleted from the out-of-band multiset (see
-// Dense.Sub). It costs O(Len) per call, like Add.
+// Window.Sub). It costs O(Len) per call, like Add.
 func (s *Sparse) Sub(x float64) {
 	c := fpnum.Classify(x)
 	if c != fpnum.ClassFinite {
@@ -231,19 +231,6 @@ func (s *Sparse) Round() float64 {
 		win[int(ix)-lo] += s.dig[k]
 	}
 	return roundDigits(win, lo, s.w)
-}
-
-// ToDense converts s to a full-range dense accumulator. Panics if any
-// component index lies outside the double-precision digit range (which
-// cannot happen for accumulators built from float64 summands).
-func (s *Sparse) ToDense() *Dense {
-	d := NewDense(s.w)
-	d.sp = s.sp
-	for k, ix := range s.idx {
-		d.dig[int(ix)-d.minIdx] += s.dig[k]
-	}
-	d.nAdd = 1
-	return d
 }
 
 // Clone returns an independent copy of s.

@@ -1,12 +1,40 @@
 package accum
 
-import "parsum/internal/fpnum"
+import (
+	"fmt"
 
-// Window is a streaming builder for sparse superaccumulators: a contiguous
-// digit window covering only the active index range seen so far, grown on
-// demand. It gives Dense-like O(1) amortized accumulation while keeping
-// memory proportional to the data's exponent spread (the paper's σ(n)),
-// which is what makes the MapReduce combiner cheap when δ is small.
+	"parsum/internal/fpnum"
+)
+
+// Window is the package's carry-free digit store: an (α,β)-regularized
+// superaccumulator, α = β = R−1 for radix R = 2^W, whose digits cover one
+// contiguous index range — the active range of the data seen so far,
+// grown on demand. The value it represents is
+//
+//	Σ_i win[i] · R^(base+i)
+//
+// plus any non-finite summands tracked out of band. Its memory follows
+// the data's exponent spread (the paper's σ(n)) rather than the whole
+// double-precision range, which is what makes a keyed entry or a
+// MapReduce combiner cheap when δ is small. NewFullWindow pre-sizes one
+// to the whole range, for pooled accumulators that must never regrow.
+// Both the dense and the sparse engine run on it; they differ only in
+// their wire form ('D' via MarshalDense, 'S' via MarshalBinary).
+//
+// Additions of raw float64 values are applied lazily: digits may drift
+// outside [−α, β] for up to maxLazyAdds(W) additions before a
+// regularization pass restores the invariant (the paper's observation
+// that a mantissa holds Ω(log n) slack bits, so carries need not be
+// resolved per addition). AddRegularized implements the carry-free
+// Lemma 1 addition used by the parallel algorithms.
+//
+// Bulk additions at the canonical width go one tier higher: AddSlice and
+// SubSlice accumulate into a call-scoped carry-save lane cache (lanes.go),
+// an L1-resident 128-bit-per-window mirror of the digit string kept on
+// the call's stack, and drain it into the digits before they return,
+// growing the window once per drain. A drain is value-preserving, so
+// between calls the digits hold the whole value and the canonical
+// regularized digit string is bit-identical to the scalar path's.
 type Window struct {
 	w      uint
 	base   int // digit index of win[0]; meaningful only when len(win) > 0
@@ -23,7 +51,17 @@ func NewWindow(w uint) *Window {
 	return &Window{w: w, maxAdd: maxLazyAdds(w)}
 }
 
-// Width returns the digit width W.
+// NewFullWindow returns an empty window of width w pre-sized to the whole
+// digit range a sum of doubles can populate, so neither a lane drain nor
+// a merge ever grows it. The parallel paths pool these.
+func NewFullWindow(w uint) *Window {
+	a := NewWindow(w)
+	lo, hi := digitBounds(a.w)
+	a.base, a.win = lo, make([]int64, hi-lo+1)
+	return a
+}
+
+// Width returns the digit width W (the radix is 2^W).
 func (a *Window) Width() uint { return a.w }
 
 // Span returns the number of digits the active window currently covers.
@@ -31,14 +69,15 @@ func (a *Window) Span() int {
 	return len(a.win)
 }
 
-// Reset empties the accumulator, retaining its storage.
+// Reset empties the accumulator, keeping its digit range and storage.
 func (a *Window) Reset() {
-	a.win = a.win[:0]
+	clear(a.win)
 	a.nAdd = 0
 	a.sp = special{}
 }
 
-// Add accumulates x exactly, growing the window as needed.
+// Add accumulates x exactly, growing the window as needed. NaN and ±Inf
+// are tracked with IEEE semantics.
 func (a *Window) Add(x float64) {
 	c := fpnum.Classify(x)
 	if c == fpnum.ClassZero {
@@ -49,15 +88,16 @@ func (a *Window) Add(x float64) {
 		return
 	}
 	if a.nAdd >= a.maxAdd {
-		a.regularize()
+		a.Regularize()
 	}
 	a.nAdd++
 	neg, m, e := fpnum.Decompose(x)
 	a.addChunks(neg, m, e)
 }
 
-// addChunks splits the significand m·2^e into W-bit digit-aligned chunks
-// and adds them (subtracts when neg) to the window, growing it as needed.
+// addChunks splits m·2^e (m < 2^64) into W-bit digit-aligned chunks and
+// adds them (subtracts when neg) to the window, growing it as needed.
+// Each digit receives less than R, so one call costs one lazy add.
 func (a *Window) addChunks(neg bool, m uint64, e int) {
 	k := floorDiv(e, int(a.w))
 	off := uint(e - k*int(a.w))
@@ -66,10 +106,12 @@ func (a *Window) addChunks(neg bool, m uint64, e int) {
 	if off != 0 {
 		hi = m >> (64 - off)
 	}
-	// The shifted significand spans at most ⌈84/W⌉+1 digits.
-	nd := int(84/a.w) + 2
-	a.ensure(k, k+nd-1)
+	nd := chunkDigits[a.w]
 	i := k - a.base
+	if i < 0 || i+nd > len(a.win) {
+		a.ensure(k, k+nd-1)
+		i = k - a.base
+	}
 	mask := uint64(1)<<a.w - 1
 	if neg {
 		for lo != 0 || hi != 0 {
@@ -88,12 +130,40 @@ func (a *Window) addChunks(neg bool, m uint64, e int) {
 	}
 }
 
-// AddSlice accumulates every element of xs exactly. At the canonical
-// digit width it runs the carry-save lane pass of lanes.go, sharing the
-// L1-resident lane cache machinery with Dense and Small; the active
-// window grows to cover the drained digit range once per drain, so a
-// bulk insert never grows or classifies per element. The result is
-// bit-identical to calling Add per element.
+// chunkDigits[w] bounds how many width-w digits addChunks touches:
+// m·2^off has at most 63+w bits, and 84/w+2 digits cover that for every
+// w in [MinWidth, MaxWidth]. A table, because a division per Add is a
+// measurable share of the scalar path.
+var chunkDigits = func() (t [MaxWidth + 1]int) {
+	for w := MinWidth; w <= MaxWidth; w++ {
+		t[w] = 84/w + 2
+	}
+	return t
+}()
+
+// addInt64 accumulates the exact value v·2^e (Large folds its exponent
+// bins through it).
+func (a *Window) addInt64(v int64, e int) {
+	if v == 0 {
+		return
+	}
+	if a.nAdd >= a.maxAdd {
+		a.Regularize()
+	}
+	a.nAdd++
+	m := uint64(v)
+	if v < 0 {
+		m = -m
+	}
+	a.addChunks(v < 0, m, e)
+}
+
+// AddSlice accumulates every element of xs exactly. It is the bulk entry
+// point every bulk consumer uses — the sequential one-shot Sum, the
+// parallel chunk workers, sharded AddBatch, keyed adds, stream bucket
+// fills and the sumd ingest path — and, at the canonical digit width,
+// runs the carry-save lane pass of lanes.go. The result is bit-identical
+// to calling Add per element.
 func (a *Window) AddSlice(xs []float64) {
 	if a.w != blockWidth {
 		for _, x := range xs {
@@ -104,8 +174,9 @@ func (a *Window) AddSlice(xs []float64) {
 	laneSlice(a, xs, 0)
 }
 
-// AddSlice32 accumulates every element of a float32 slice exactly via the
-// narrow-lane float32 pass.
+// AddSlice32 accumulates every element of a float32 slice exactly (every
+// float32 value is a float64 value; no widening conversion is
+// materialized) via the narrow-lane float32 pass.
 func (a *Window) AddSlice32(xs []float32) {
 	if a.w != blockWidth {
 		for _, x := range xs {
@@ -132,7 +203,7 @@ func (a *Window) SubSlice32(xs []float32) {
 // to cover the drained range.
 func (a *Window) laneDigits(lo, hi int) []int64 {
 	if a.nAdd+4 > a.maxAdd {
-		a.regularize()
+		a.Regularize()
 	}
 	a.nAdd += 4
 	a.ensure(lo, hi)
@@ -140,8 +211,10 @@ func (a *Window) laneDigits(lo, hi int) []int64 {
 }
 
 // Sub deletes x from the accumulated sum exactly — the group inverse of
-// Add: the digit updates are the sign-flipped chunks of x. Non-finite
-// values are deleted from the out-of-band multiset (see Dense.Sub).
+// Add, made possible by the signed-digit representation: the digit
+// updates are the sign-flipped chunks of x, so a+x−x is bit-for-bit a.
+// Non-finite values are deleted from the out-of-band multiset (Sub(+Inf)
+// after Add(+Inf) restores the prior state; it is not Add(−Inf)).
 func (a *Window) Sub(x float64) {
 	c := fpnum.Classify(x)
 	if c == fpnum.ClassZero {
@@ -152,7 +225,7 @@ func (a *Window) Sub(x float64) {
 		return
 	}
 	if a.nAdd >= a.maxAdd {
-		a.regularize()
+		a.Regularize()
 	}
 	a.nAdd++
 	neg, m, e := fpnum.Decompose(x)
@@ -172,8 +245,9 @@ func (a *Window) SubSlice(xs []float64) {
 }
 
 // Neg negates the represented value in place: every window digit flips
-// sign and the infinity multiplicities swap. The lazy-add budget is
-// unchanged (the digit bound is symmetric).
+// sign and the infinity multiplicities swap. A regularized accumulator
+// stays regularized — the (α,β) range is symmetric — and the lazy-add
+// budget is unchanged.
 func (a *Window) Neg() {
 	for i := range a.win {
 		a.win[i] = -a.win[i]
@@ -182,29 +256,50 @@ func (a *Window) Neg() {
 }
 
 // AddNeg subtracts o's exact contents from a — the group inverse of Merge,
-// leaving o unmodified. Special multiplicities are subtracted, not
-// sign-swapped (AddNeg deletes o's summands). Widths must match.
+// leaving o unmodified. Deleting a previously merged accumulator restores
+// the prior value bit-for-bit, including the out-of-band special
+// multiplicities (which are subtracted, not sign-swapped: AddNeg deletes
+// o's summands rather than merging their negations). Widths must match.
 func (a *Window) AddNeg(o *Window) {
 	if a.w != o.w {
 		panic("accum: width mismatch in Window.AddNeg")
 	}
 	a.sp.unmerge(o.sp)
+	a.addDigits(o, -1)
+}
+
+// Merge adds o into a exactly, growing the window to cover o's active
+// range. It is a digit-wise addition that regularizes first only when the
+// combined lazy-add budget would overflow; o is not modified. Widths
+// must match.
+func (a *Window) Merge(o *Window) {
+	if a.w != o.w {
+		panic("accum: width mismatch in Window.Merge")
+	}
+	a.sp.merge(o.sp)
+	a.addDigits(o, 1)
+}
+
+// addDigits adds sign·o's digits into a (sign is ±1).
+func (a *Window) addDigits(o *Window, sign int64) {
 	if len(o.win) == 0 {
 		return
 	}
 	if a.nAdd+o.nAdd+1 > a.maxAdd {
-		a.regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
+		a.Regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
 	a.ensure(o.base, o.base+len(o.win)-1)
-	off := o.base - a.base
+	dst := a.win[o.base-a.base:]
 	for i, v := range o.win {
-		a.win[off+i] -= v
+		dst[i] += sign * v
 	}
 	a.nAdd += o.nAdd + 1
 }
 
 // ensure grows the window to cover digit indices [lo, hi], padding a little
-// on each side to amortize regrowth.
+// on each side to amortize regrowth. Upward growth reuses spare capacity
+// first, so a pre-sized window that Regularize shortened never
+// reallocates.
 func (a *Window) ensure(lo, hi int) {
 	const pad = 4
 	if len(a.win) == 0 {
@@ -213,6 +308,12 @@ func (a *Window) ensure(lo, hi int) {
 		return
 	}
 	if lo >= a.base && hi < a.base+len(a.win) {
+		return
+	}
+	if lo >= a.base && hi < a.base+cap(a.win) {
+		n := len(a.win)
+		a.win = a.win[:hi-a.base+1]
+		clear(a.win[n:])
 		return
 	}
 	nb := a.base
@@ -228,13 +329,17 @@ func (a *Window) ensure(lo, hi int) {
 	a.base, a.win = nb, nw
 }
 
-// regularize runs the signed-carry pass over the window; a final carry
-// extends the window by as many digits as it needs. Every resulting digit
-// is in [0, R−1] except possibly a single trailing −1 when the represented
-// value is negative (all within the (α,β) range).
-func (a *Window) regularize() {
+// Regularize restores every digit to the (α,β) range without changing
+// the represented value: one low-to-high signed-carry pass leaves each
+// digit in [0, R−1], and a final carry extends the window by as many
+// digits as it needs. A negative value ends in a single −1 digit: the
+// carry leaves a run (R−1, …, R−1, −1) at the top, which collapses to
+// −1 at the run's start (−R^t + Σ(R−1)R^j = −R^s), so the window never
+// covers more than one digit beyond the value. That form is canonical:
+// equal values regularize to equal digit strings.
+func (a *Window) Regularize() {
+	a.nAdd = 0
 	if len(a.win) == 0 {
-		a.nAdd = 0
 		return
 	}
 	mask := int64(1)<<a.w - 1
@@ -246,52 +351,102 @@ func (a *Window) regularize() {
 	}
 	for c != 0 {
 		if c == -1 {
-			// Arithmetic shift of a negative carry converges to −1, which
-			// is the signed top digit of a negative value.
+			// Arithmetic shift of a negative carry converges to −1, the
+			// signed top digit of a negative value.
 			a.win = append(a.win, -1)
 			break
 		}
 		a.win = append(a.win, c&mask)
 		c >>= a.w
 	}
-	// A negative total propagates the −1 carry through every padded zero
-	// digit, leaving a run (R−1, R−1, …, −1) at the top. Collapse it back
-	// to a single −1 digit (−R^t + Σ(R−1)R^j = −R^s), so the active range
-	// never exceeds the content range by more than one digit.
-	if top := len(a.win) - 1; top >= 0 && a.win[top] == -1 {
+	if top := len(a.win) - 1; a.win[top] == -1 {
 		s := top
 		for s > 0 && a.win[s-1] == mask {
 			s--
 		}
-		if s < top {
-			a.win[s] = -1
-			a.win = a.win[:s+1]
+		a.win[s] = -1
+		a.win = a.win[:s+1]
+	}
+}
+
+// AddRegularized adds o into a using the paper's Lemma 1 carry-free
+// parallel addition. Both accumulators must be regularized (all digits in
+// [−α, β]); the result is again regularized, with every output digit
+// computable independently given only its own component sum and its
+// lower neighbor's — the property that makes superaccumulator addition
+// O(1)-depth on a PRAM. The windows may cover different ranges: a first
+// grows to their union (o reads as zero outside its own). Widths must
+// match.
+func (a *Window) AddRegularized(o *Window) {
+	if a.w != o.w {
+		panic("accum: width mismatch in AddRegularized")
+	}
+	a.sp.merge(o.sp)
+	if len(o.win) > 0 {
+		a.ensure(o.base, o.base+len(o.win)-1)
+	}
+	r := int64(1) << a.w
+	off := o.base - a.base
+	var carryIn int64
+	for i := range a.win {
+		p := a.win[i] // Pᵢ ∈ [−2α, 2β] once o's digit is added
+		if j := i - off; j >= 0 && j < len(o.win) {
+			p += o.win[j]
 		}
+		var carryOut int64
+		switch {
+		case p >= r-1:
+			carryOut = 1
+		case p <= -r+1:
+			carryOut = -1
+		}
+		a.win[i] = p - carryOut*r + carryIn // Wᵢ ∈ [−(α−1), β−1], plus the carry
+		carryIn = carryOut
+	}
+	if carryIn != 0 {
+		a.win = append(a.win, carryIn)
 	}
 	a.nAdd = 0
 }
 
-// Merge adds o into a exactly, growing the window to cover o's active
-// range. Like Dense.Merge it is a digit-wise addition that regularizes
-// first only when the combined lazy-add budget would overflow; o is not
-// modified. Widths must match.
-func (a *Window) Merge(o *Window) {
-	if a.w != o.w {
-		panic("accum: width mismatch in Window.Merge")
+// IsRegularized reports whether every digit lies in the (α,β) range
+// [−(R−1), R−1]. It is the Lemma 1 invariant checked by the property
+// tests.
+func (a *Window) IsRegularized() bool {
+	r := int64(1) << a.w
+	for _, v := range a.win {
+		if v <= -r || v >= r {
+			return false
+		}
 	}
-	a.sp.merge(o.sp)
-	if len(o.win) == 0 {
-		return
+	return true
+}
+
+// IsZero reports whether the accumulated exact sum is zero (and no
+// non-finite summand was seen).
+func (a *Window) IsZero() bool {
+	if a.sp.any() {
+		return false
 	}
-	if a.nAdd+o.nAdd+1 > a.maxAdd {
-		a.regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
+	for _, v := range a.win {
+		if v != 0 {
+			return false
+		}
 	}
-	a.ensure(o.base, o.base+len(o.win)-1)
-	off := o.base - a.base
-	for i, v := range o.win {
-		a.win[off+i] += v
+	return true
+}
+
+// Round returns the correctly rounded (round-to-nearest-even) float64
+// value of the exact sum, implementing steps 6–7 of the paper's PRAM
+// algorithm. The accumulator is not modified.
+func (a *Window) Round() float64 {
+	if v, ok := a.sp.resolved(); ok {
+		return v
 	}
-	a.nAdd += o.nAdd + 1
+	if len(a.win) == 0 {
+		return 0
+	}
+	return roundDigits(a.win, a.base, a.w)
 }
 
 // Clone returns an independent copy of a.
@@ -304,7 +459,7 @@ func (a *Window) Clone() *Window {
 // ToSparse converts the window to the canonical sparse representation,
 // skipping zero digits. The window is regularized as a side effect.
 func (a *Window) ToSparse() *Sparse {
-	a.regularize()
+	a.Regularize()
 	s := &Sparse{w: a.w, sp: a.sp}
 	for i, v := range a.win {
 		if v != 0 {
@@ -315,13 +470,25 @@ func (a *Window) ToSparse() *Sparse {
 	return s
 }
 
-// Round returns the correctly rounded float64 value of the exact sum.
-func (a *Window) Round() float64 {
-	if v, ok := a.sp.resolved(); ok {
-		return v
+// Digits returns the digit string and the index of its first element, for
+// inspection by tests. The slice aliases a's state.
+func (a *Window) Digits() ([]int64, int) {
+	return a.win, a.base
+}
+
+// String renders the nonzero digits, most significant first, for
+// debugging.
+func (a *Window) String() string {
+	out := "Window{"
+	first := true
+	for i := len(a.win) - 1; i >= 0; i-- {
+		if a.win[i] != 0 {
+			if !first {
+				out += " "
+			}
+			out += fmt.Sprintf("%d:%d", a.base+i, a.win[i])
+			first = false
+		}
 	}
-	if len(a.win) == 0 {
-		return 0
-	}
-	return roundDigits(a.win, a.base, a.w)
+	return out + "}"
 }

@@ -30,9 +30,9 @@ func init() {
 		Invertible: true,
 	}
 	engine.Register(engine.New(EngineDense,
-		"full-range (α,β)-regularized dense superaccumulator with carry-free Lemma 1 merges",
+		"(α,β)-regularized superaccumulator with carry-free Lemma 1 merges; full-range wire form",
 		exactParallel, Sum,
-		func() engine.Accumulator { return &denseAcc{d: accum.NewDense(0)} }))
+		func() engine.Accumulator { return &windowAcc{w: accum.NewWindow(0), dense: true} }))
 	engine.Register(engine.New(EngineSparse,
 		"active-window sparse superaccumulator (σ(n)-proportional state, carry-free merges)",
 		exactParallel, SumSparse,
@@ -59,44 +59,15 @@ func init() {
 		nil))
 }
 
-// denseAcc adapts accum.Dense to the engine.Accumulator interface.
-type denseAcc struct{ d *accum.Dense }
-
-func (a *denseAcc) Add(x float64)              { a.d.Add(x) }
-func (a *denseAcc) AddSlice(xs []float64)      { a.d.AddSlice(xs) }
-func (a *denseAcc) AddSlice32(xs []float32)    { a.d.AddSlice32(xs) }
-func (a *denseAcc) Sub(x float64)              { a.d.Sub(x) }
-func (a *denseAcc) SubSlice(xs []float64)      { a.d.SubSlice(xs) }
-func (a *denseAcc) SubSlice32(xs []float32)    { a.d.SubSlice32(xs) }
-func (a *denseAcc) Merge(o engine.Accumulator) { a.d.Merge(o.(*denseAcc).d) }
-
-func (a *denseAcc) SubAccumulator(o engine.Accumulator) { a.d.AddNeg(o.(*denseAcc).d) }
-func (a *denseAcc) Round() float64                      { return a.d.Round() }
-func (a *denseAcc) Round32() float32                    { return a.d.Round32() }
-func (a *denseAcc) Reset()                              { a.d.Reset() }
-func (a *denseAcc) Clone() engine.Accumulator           { return &denseAcc{d: a.d.Clone()} }
-func (a *denseAcc) Sigma() int                          { return a.d.ToSparse().Len() }
-
-// MarshalBinary implements the wire-partial codec for the dense engine.
-func (a *denseAcc) MarshalBinary() ([]byte, error) { return a.d.MarshalBinary() }
-
-// UnmarshalBinary decodes a wire partial, enforcing the engine's canonical
-// digit width: the dense engine always runs at accum.DefaultWidth, and a
-// partial of any other width could not merge with local accumulators.
-func (a *denseAcc) UnmarshalBinary(data []byte) error {
-	var d accum.Dense
-	if err := d.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if d.Width() != a.d.Width() {
-		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineDense, d.Width(), a.d.Width())
-	}
-	*a.d = d
-	return nil
+// windowAcc adapts accum.Window to the engine.Accumulator interface. The
+// dense and sparse engines share it: both keep only the digits their data
+// reaches, and differ only in the wire form of their partials — the
+// dense engine's ('D') spans the whole digit range, the sparse engine's
+// ('S') only the active components.
+type windowAcc struct {
+	w     *accum.Window
+	dense bool
 }
-
-// windowAcc adapts accum.Window to the engine.Accumulator interface.
-type windowAcc struct{ w *accum.Window }
 
 func (a *windowAcc) Add(x float64)              { a.w.Add(x) }
 func (a *windowAcc) AddSlice(xs []float64)      { a.w.AddSlice(xs) }
@@ -110,21 +81,32 @@ func (a *windowAcc) SubAccumulator(o engine.Accumulator) { a.w.AddNeg(o.(*window
 func (a *windowAcc) Round() float64                      { return a.w.Round() }
 func (a *windowAcc) Round32() float32                    { return a.w.Round32() }
 func (a *windowAcc) Reset()                              { a.w.Reset() }
-func (a *windowAcc) Clone() engine.Accumulator           { return &windowAcc{w: a.w.Clone()} }
+func (a *windowAcc) Clone() engine.Accumulator           { return &windowAcc{w: a.w.Clone(), dense: a.dense} }
 func (a *windowAcc) Sigma() int                          { return a.w.ToSparse().Len() }
 
-// MarshalBinary implements the wire-partial codec for the sparse engine.
-func (a *windowAcc) MarshalBinary() ([]byte, error) { return a.w.MarshalBinary() }
+// MarshalBinary implements the wire-partial codec of the dense and sparse
+// engines.
+func (a *windowAcc) MarshalBinary() ([]byte, error) {
+	if a.dense {
+		return a.w.MarshalDense()
+	}
+	return a.w.MarshalBinary()
+}
 
 // UnmarshalBinary decodes a wire partial, enforcing the engine's canonical
-// digit width (see denseAcc.UnmarshalBinary).
+// digit width: both engines always run at accum.DefaultWidth, and a
+// partial of any other width could not merge with local accumulators.
 func (a *windowAcc) UnmarshalBinary(data []byte) error {
 	var w accum.Window
-	if err := w.UnmarshalBinary(data); err != nil {
+	decode, name := w.UnmarshalBinary, EngineSparse
+	if a.dense {
+		decode, name = w.UnmarshalDense, EngineDense
+	}
+	if err := decode(data); err != nil {
 		return err
 	}
 	if w.Width() != a.w.Width() {
-		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", EngineSparse, w.Width(), a.w.Width())
+		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", name, w.Width(), a.w.Width())
 	}
 	*a.w = w
 	return nil

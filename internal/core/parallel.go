@@ -40,23 +40,23 @@ func AutoChunk(n, workers int) int {
 	return c
 }
 
-// densePools recycles full-range dense superaccumulators, one pool per
-// digit width. A dense accumulator is a multi-KiB digit array, so reusing
-// one across chunks, workers, and SumParallel calls keeps the hot path
-// allocation-free after warm-up.
+// densePools recycles full-range windows, one pool per digit width.
+// Pre-sizing to the whole digit range means no lane drain or merge ever
+// regrows a pooled window, so reusing one across chunks, workers, and
+// SumParallel calls keeps the hot path allocation-free after warm-up.
 var densePools [accum.MaxWidth + 1]sync.Pool
 
-func getDense(w uint) *accum.Dense {
+func getDense(w uint) *accum.Window {
 	w = accum.CheckedWidth(w)
 	if v := densePools[w].Get(); v != nil {
-		d := v.(*accum.Dense)
+		d := v.(*accum.Window)
 		d.Reset()
 		return d
 	}
-	return accum.NewDense(w)
+	return accum.NewFullWindow(w)
 }
 
-func putDense(d *accum.Dense) { densePools[d.Width()].Put(d) }
+func putDense(d *accum.Window) { densePools[d.Width()].Put(d) }
 
 // chunkCursor hands out half-open element ranges of an n-element input in
 // chunk-sized steps, safely from any number of goroutines.
@@ -121,12 +121,12 @@ func MergeTree[T any](parts []T, merge func(dst, src T) T) T {
 }
 
 // parallelDense fans chunk accumulation out to p goroutines over pooled
-// dense accumulators, then combines the regularized partials in a
+// full-range windows, then combines the regularized partials in a
 // log-depth tree of Lemma 1 carry-free merges (AddRegularized leaves its
 // result regularized, so levels compose). Consumed partials return to the
 // pool as soon as they are merged.
 func parallelDense(xs []float64, p, chunk int, width uint) float64 {
-	parts := fanOut(xs, p, chunk, func(cur *chunkCursor) *accum.Dense {
+	parts := fanOut(xs, p, chunk, func(cur *chunkCursor) *accum.Window {
 		d := getDense(width)
 		for {
 			lo, hi, ok := cur.take()
@@ -138,7 +138,7 @@ func parallelDense(xs []float64, p, chunk int, width uint) float64 {
 		d.Regularize()
 		return d
 	})
-	root := MergeTree(parts, func(dst, src *accum.Dense) *accum.Dense {
+	root := MergeTree(parts, func(dst, src *accum.Window) *accum.Window {
 		dst.AddRegularized(src)
 		putDense(src)
 		return dst

@@ -19,32 +19,55 @@ func wideValues(n int) []float64 {
 	return xs
 }
 
-// TestResidentBytesPerKey counts what each live key costs: 4096 new keys,
-// each given one 1024-value add, may grow the live heap by at most 1 KiB
-// per key. A dense entry is its 70 digits (560 B) plus the accumulator
-// header and the map slot; a bulk add's lane cache lives on the call's
-// stack and must not stay behind in the entry.
+// narrowValues returns n seeded N(0, 100²) values: a narrow exponent
+// range, so an accumulator that stores only its active digits stays small.
+func narrowValues(n int) []float64 {
+	rng := rand.New(rand.NewSource(21))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64() * 100
+	}
+	return xs
+}
+
+// TestResidentBytesPerKey counts what each live dense key costs: 4096 new
+// keys, each given one 1024-value add. A dense entry stores only the
+// digits its values reach, plus the accumulator header and the map slot,
+// and a bulk add's lane cache lives on the call's stack and must not stay
+// behind in the entry. Wide values (δ = 2000) reach most of the 70-digit
+// range and may cost 1 KiB per key; N(0, 100²) values reach a handful of
+// digits and may cost 320 B.
 func TestResidentBytesPerKey(t *testing.T) {
-	const keys, budget = 4096, 1024
-	xs := wideValues(1024)
+	const keys = 4096
 	names := make([]string, keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("key-%04d", i)
 	}
-	s := mustNew(t, "dense", 4)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, k := range names {
-		s.Add(k, xs)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(s)
-	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / keys
-	t.Logf("%d B of live heap per key", per)
-	if per > budget {
-		t.Fatalf("each key holds %d B of live heap, want at most %d", per, budget)
+	for _, tc := range []struct {
+		name   string
+		xs     []float64
+		budget int64
+	}{
+		{"wide", wideValues(1024), 1024},
+		{"narrow", narrowValues(1024), 320},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustNew(t, "dense", 4)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, k := range names {
+				s.Add(k, tc.xs)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(s)
+			per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / keys
+			t.Logf("%d B of live heap per key", per)
+			if per > tc.budget {
+				t.Fatalf("each key holds %d B of live heap, want at most %d", per, tc.budget)
+			}
+		})
 	}
 }
 

@@ -306,7 +306,7 @@ func splitmix(x uint64) uint64 {
 type payload struct {
 	sparse *accum.Sparse
 	small  *accum.Small
-	dense  *accum.Dense
+	dense  *accum.Window
 	large  *accum.Large
 	raw    []float64
 }
@@ -318,7 +318,8 @@ func (p payload) size() int {
 	case p.small != nil:
 		return p.small.EncodedSize()
 	case p.dense != nil:
-		return p.dense.EncodedSize()
+		lo, hi := accum.DigitBounds(p.dense.Width())
+		return 8 * (hi - lo + 1) // a dense payload ships every digit of the range
 	case p.large != nil:
 		return 8 * 2048
 	default:
@@ -339,7 +340,7 @@ func combine(split []float64, cfg Config) payload {
 		s.AddSlice(split)
 		return payload{small: s}
 	case DenseAcc:
-		d := accum.NewDense(cfg.Width)
+		d := accum.NewFullWindow(cfg.Width)
 		d.AddSlice(split)
 		return payload{dense: d}
 	case LargeAcc:
@@ -394,7 +395,7 @@ func reduce(ps []payload, cfg Config) payload {
 		}
 		return payload{small: root}
 	case DenseAcc:
-		root := accum.NewDense(cfg.Width)
+		root := accum.NewFullWindow(cfg.Width)
 		for _, p := range ps {
 			if p.raw != nil {
 				root.AddSlice(p.raw)
@@ -445,7 +446,7 @@ func finish(ps []payload, cfg Config) (float64, int) {
 		}
 		return root.Round(), 0
 	case DenseAcc:
-		root := accum.NewDense(cfg.Width)
+		root := accum.NewFullWindow(cfg.Width)
 		for _, p := range ps {
 			if p.dense != nil {
 				root.Merge(p.dense)
