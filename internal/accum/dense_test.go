@@ -192,13 +192,15 @@ func TestDenseRoundHalfEven(t *testing.T) {
 
 func TestDenseLemma1Invariant(t *testing.T) {
 	// After Regularize and after AddRegularized, every digit must be in
-	// [−α, β] = [−(R−1), R−1] (Lemma 1), and the value must be preserved.
+	// [−α, β] = [−(R−1), R−1] (Lemma 1), and the value must be preserved,
+	// for full-range and growable windows of any two spans.
 	r := rand.New(rand.NewSource(2))
+	mk := []func(uint) *Window{NewFullWindow, NewWindow}
 	for _, w := range []uint{8, 16, 27, 32} {
 		for trial := 0; trial < 40; trial++ {
 			xs := randValues(r, 1+r.Intn(40), true)
 			ys := randValues(r, 1+r.Intn(40), true)
-			a, b := NewFullWindow(w), NewFullWindow(w)
+			a, b := mk[trial%2](w), mk[trial/2%2](w)
 			a.AddSlice(xs)
 			b.AddSlice(ys)
 			a.Regularize()

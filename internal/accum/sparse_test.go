@@ -178,6 +178,26 @@ func TestWindowGrowthBothDirections(t *testing.T) {
 	}
 }
 
+// TestWindowMergeRoundsStayBounded: windows merged into each other in
+// turn converge on the union of their ranges. (Padding each merge's growth
+// once widened them by eight digits a round, so a Sharded's recycled
+// shard windows and its base grew by a digit per Sum without bound.)
+func TestWindowMergeRoundsStayBounded(t *testing.T) {
+	a, b := NewWindow(32), NewWindow(32)
+	a.AddSlice([]float64{1, 0x1p300, -0x1p-300})
+	b.AddSlice([]float64{3, 0x1p-900, 0x1p900})
+	a.Merge(b)
+	b.Merge(a)
+	span := max(a.Span(), b.Span())
+	for round := 0; round < 100; round++ {
+		a.Merge(b)
+		b.Merge(a)
+	}
+	if got := max(a.Span(), b.Span()); got != span {
+		t.Fatalf("100 merge rounds grew the windows from %d to %d digits", span, got)
+	}
+}
+
 func TestWindowNegativeTotals(t *testing.T) {
 	a := NewWindow(8)
 	a.Add(-1e30)

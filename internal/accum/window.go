@@ -109,7 +109,7 @@ func (a *Window) addChunks(neg bool, m uint64, e int) {
 	nd := chunkDigits[a.w]
 	i := k - a.base
 	if i < 0 || i+nd > len(a.win) {
-		a.ensure(k, k+nd-1)
+		a.ensure(k, k+nd-1, addPad)
 		i = k - a.base
 	}
 	mask := uint64(1)<<a.w - 1
@@ -206,7 +206,7 @@ func (a *Window) laneDigits(lo, hi int) []int64 {
 		a.Regularize()
 	}
 	a.nAdd += 4
-	a.ensure(lo, hi)
+	a.ensure(lo, hi, addPad)
 	return a.win[lo-a.base : hi-a.base+1]
 }
 
@@ -288,7 +288,7 @@ func (a *Window) addDigits(o *Window, sign int64) {
 	if a.nAdd+o.nAdd+1 > a.maxAdd {
 		a.Regularize() // o.nAdd ≤ maxAdd by construction, so this suffices
 	}
-	a.ensure(o.base, o.base+len(o.win)-1)
+	a.ensure(o.base, o.base+len(o.win)-1, 0)
 	dst := a.win[o.base-a.base:]
 	for i, v := range o.win {
 		dst[i] += sign * v
@@ -296,12 +296,17 @@ func (a *Window) addDigits(o *Window, sign int64) {
 	a.nAdd += o.nAdd + 1
 }
 
-// ensure grows the window to cover digit indices [lo, hi], padding a little
-// on each side to amortize regrowth. Upward growth reuses spare capacity
-// first, so a pre-sized window that Regularize shortened never
-// reallocates.
-func (a *Window) ensure(lo, hi int) {
-	const pad = 4
+// addPad is how many spare digits ensure adds on each side a stream of
+// adds grows the window toward, so the stream regrows it rarely.
+const addPad = 4
+
+// ensure grows the window to cover digit indices [lo, hi], with pad spare
+// digits on each side it grows toward. Merges pass no padding: the source
+// is already padded, and padding again would widen windows that merge
+// into each other in turn by 2·addPad digits every round, without bound.
+// Upward growth reuses spare capacity first, so a pre-sized window that
+// Regularize shortened never reallocates.
+func (a *Window) ensure(lo, hi, pad int) {
 	if len(a.win) == 0 {
 		a.base = lo - pad
 		a.win = make([]int64, hi-lo+1+2*pad)
@@ -383,7 +388,7 @@ func (a *Window) AddRegularized(o *Window) {
 	}
 	a.sp.merge(o.sp)
 	if len(o.win) > 0 {
-		a.ensure(o.base, o.base+len(o.win)-1)
+		a.ensure(o.base, o.base+len(o.win)-1, 0)
 	}
 	r := int64(1) << a.w
 	off := o.base - a.base
