@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // Binary wire format for superaccumulators, so partial sums can be
@@ -292,12 +291,11 @@ func (a *Window) setComponents(w uint, sp special, idx []int32, dig []int64) {
 		dig[s] = -1
 	}
 	a.w, a.sp, a.maxAdd, a.nAdd = w, sp, maxLazyAdds(w), 1
-	a.win, a.base = a.win[:0], 0
+	a.win, a.base = nil, 0
 	if len(idx) > 0 {
 		lo, hi := int(idx[0]), int(idx[len(idx)-1])
 		a.base = lo
-		a.win = slices.Grow(a.win, hi-lo+1)[:hi-lo+1]
-		clear(a.win)
+		a.win = make([]int64, hi-lo+1)
 		for k, ix := range idx {
 			a.win[int(ix)-lo] = dig[k]
 		}

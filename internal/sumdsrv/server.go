@@ -60,7 +60,6 @@ import (
 	"math"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -637,7 +636,9 @@ func readFloats(body io.Reader, declared int64) ([]float64, error) {
 			if declared >= 0 {
 				c = max(need, min(int(declared/8), max(c, need+presizeVals)))
 			}
-			xs = slices.Grow(xs, c-len(xs))
+			nx := make([]float64, len(xs), c)
+			copy(nx, xs)
+			xs = nx
 		}
 		for i := 0; i < m; i += 8 {
 			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(buf[i:])))
