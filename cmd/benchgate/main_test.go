@@ -12,9 +12,15 @@ import (
 // the given throughput and returns its path.
 func snapshot(t *testing.T, name string, mops float64) string {
 	t.Helper()
+	return snapshotN(t, name, 1000, mops)
+}
+
+// snapshotN is snapshot measured on an input of n values.
+func snapshotN(t *testing.T, name string, n int, mops float64) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	data := fmt.Sprintf(`{"n":1000,"delta":10,"dist":"random","gomaxprocs":1,"reps":1,
-		"points":[{"engine":"dense","workers":1,"chunk":64,"ns_per_op":1000,"mops_per_s":%g,"speedup_vs_base":1}]}`, mops)
+	data := fmt.Sprintf(`{"n":%d,"delta":10,"dist":"random","gomaxprocs":1,"reps":1,
+		"points":[{"engine":"dense","workers":1,"chunk":64,"ns_per_op":1000,"mops_per_s":%g,"speedup_vs_base":1}]}`, n, mops)
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +109,39 @@ func TestGateUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := runGate(t, "-baseline", base, "-candidate", empty); code != 2 {
 		t.Errorf("empty candidate: exit %d, want 2", code)
+	}
+}
+
+// TestGateRefusesDifferentInput: a candidate measured on another input is
+// a usage error that prints both inputs, not a verdict.
+func TestGateRefusesDifferentInput(t *testing.T) {
+	base := snapshotN(t, "base.json", 4000, 100)
+	same := snapshotN(t, "same.json", 4000, 100)
+	other := snapshotN(t, "other.json", 1000, 100)
+	code, out, errb := runGate(t, "-baseline", base, "-candidate", same+","+other)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out)
+	}
+	if !strings.Contains(errb, "n=4000 delta=10 dist=random") || !strings.Contains(errb, "n=1000 delta=10 dist=random") {
+		t.Fatalf("stderr %q does not print both inputs", errb)
+	}
+}
+
+// TestGateMedianOfRuns: CI passes three runs, and the median decides, so
+// one slow run among three passes and two slow runs fail.
+func TestGateMedianOfRuns(t *testing.T) {
+	base := snapshot(t, "base.json", 100)
+	fast1, fast2 := snapshot(t, "fast1.json", 98), snapshot(t, "fast2.json", 103)
+	slow1, slow2 := snapshot(t, "slow1.json", 40), snapshot(t, "slow2.json", 55)
+
+	code, out, errb := runGate(t, "-baseline", base, "-candidate", fast1+","+slow1+","+fast2)
+	if code != 0 {
+		t.Fatalf("one slow run of three: exit %d, stderr %q", code, errb)
+	}
+	if !strings.Contains(out, "median of 3 runs") {
+		t.Fatalf("output %q does not report the runs", out)
+	}
+	if code, _, _ := runGate(t, "-baseline", base, "-candidate", slow1+","+fast1+","+slow2); code != 1 {
+		t.Fatalf("two slow runs of three: exit %d, want 1", code)
 	}
 }

@@ -18,7 +18,7 @@ func TestGatePassAndFail(t *testing.T) {
 	baseline := snap(pt("dense", 1, 30), pt("dense", 4, 40), pt("sparse", 1, 10))
 
 	// Within tolerance: 30 ≥ 0.7 × 40.
-	res, err := Gate(baseline, snap(pt("dense", 1, 30)), []string{"dense"}, 0.30)
+	res, err := Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 30))}, []string{"dense"}, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestGatePassAndFail(t *testing.T) {
 	}
 
 	// Regression beyond tolerance: 20 < 0.7 × 40.
-	res, err = Gate(baseline, snap(pt("dense", 2, 20)), []string{"dense"}, 0.30)
+	res, err = Gate(baseline, []ParallelSnapshot{snap(pt("dense", 2, 20))}, []string{"dense"}, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestGatePassAndFail(t *testing.T) {
 
 	// Best-across-workers on the candidate side: a slow 1-worker cell is
 	// fine when another cell holds the line.
-	res, err = Gate(baseline, snap(pt("dense", 1, 5), pt("dense", 4, 39)), []string{"dense"}, 0.30)
+	res, err = Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 5), pt("dense", 4, 39))}, []string{"dense"}, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGatePassAndFail(t *testing.T) {
 	}
 
 	// Improvements obviously pass.
-	res, _ = Gate(baseline, snap(pt("sparse", 1, 50)), []string{"sparse"}, 0.30)
+	res, _ = Gate(baseline, []ParallelSnapshot{snap(pt("sparse", 1, 50))}, []string{"sparse"}, 0.30)
 	if !res[0].Pass || res[0].Ratio < 4.9 {
 		t.Fatalf("improvement mishandled: %+v", res[0])
 	}
@@ -54,17 +54,69 @@ func TestGatePassAndFail(t *testing.T) {
 
 func TestGateErrors(t *testing.T) {
 	baseline := snap(pt("dense", 1, 30))
-	if _, err := Gate(baseline, snap(pt("dense", 1, 30)), []string{"sparse"}, 0.3); err == nil {
+	if _, err := Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 30))}, []string{"sparse"}, 0.3); err == nil {
 		t.Error("missing baseline engine not rejected")
 	}
-	if _, err := Gate(baseline, snap(pt("sparse", 1, 30)), []string{"dense"}, 0.3); err == nil {
+	if _, err := Gate(baseline, []ParallelSnapshot{snap(pt("sparse", 1, 30))}, []string{"dense"}, 0.3); err == nil {
 		t.Error("missing candidate engine not rejected")
 	}
-	if _, err := Gate(baseline, snap(pt("dense", 1, 30)), []string{"dense"}, 1.5); err == nil {
+	if _, err := Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 30))}, []string{"dense"}, 1.5); err == nil {
 		t.Error("tolerance ≥ 1 not rejected")
 	}
-	if _, err := Gate(baseline, snap(pt("dense", 1, 30)), []string{"dense"}, -0.1); err == nil {
+	if _, err := Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 30))}, []string{"dense"}, -0.1); err == nil {
 		t.Error("negative tolerance not rejected")
+	}
+	if _, err := Gate(baseline, nil, []string{"dense"}, 0.3); err == nil {
+		t.Error("no candidates not rejected")
+	}
+	if _, err := Gate(baseline, []ParallelSnapshot{snap(pt("dense", 1, 30)), snap(pt("sparse", 1, 30))}, []string{"dense"}, 0.3); err == nil {
+		t.Error("engine missing from one candidate run not rejected")
+	}
+}
+
+// TestGateMedianOfRuns: the verdict follows the median of the candidate
+// runs' best throughputs, so one slow run among three passes and two
+// fail.
+func TestGateMedianOfRuns(t *testing.T) {
+	baseline := snap(pt("dense", 1, 100))
+	runs := func(mops ...float64) []ParallelSnapshot {
+		var out []ParallelSnapshot
+		for _, m := range mops {
+			out = append(out, snap(pt("dense", 1, m/2), pt("dense", 2, m)))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		mops []float64
+		want float64
+		pass bool
+	}{
+		{[]float64{95, 40, 105}, 95, true},
+		{[]float64{40, 95, 50}, 50, false},
+		{[]float64{60, 90}, 75, true},
+		{[]float64{60}, 60, false},
+	} {
+		res, err := Gate(baseline, runs(tc.mops...), []string{"dense"}, 0.30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res[0]; r.CandidateMops != tc.want || r.Pass != tc.pass || len(r.CandidateRuns) != len(tc.mops) {
+			t.Errorf("runs %v: got %+v, want median %g pass %t", tc.mops, r, tc.want, tc.pass)
+		}
+	}
+}
+
+func TestSnapshotInput(t *testing.T) {
+	a := ParallelSnapshot{N: 1000000, Delta: 2000, Dist: "Random", GoMaxProcs: 2}
+	b := a
+	b.GoMaxProcs, b.NumCPU, b.Reps = 1, 1, 5
+	if a.Input() != b.Input() {
+		t.Errorf("machine shape changed the input: %q vs %q", a.Input(), b.Input())
+	}
+	for _, c := range []ParallelSnapshot{{N: 4000000, Delta: 2000, Dist: "Random"}, {N: 1000000, Delta: 10, Dist: "Random"}, {N: 1000000, Delta: 2000, Dist: "SumZero"}} {
+		if c.Input() == a.Input() {
+			t.Errorf("%+v reads as the same input as %+v", c, a)
+		}
 	}
 }
 
