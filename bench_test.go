@@ -230,7 +230,6 @@ func BenchmarkSequential(b *testing.B) {
 		{"dense-acc", core.Sum},
 		{"sparse-acc", core.SumSparse},
 		{"small-acc", func(v []float64) float64 { s := accum.NewSmall(); s.AddSlice(v); return s.Round() }},
-		{"large-acc", func(v []float64) float64 { l := accum.NewLarge(); l.AddSlice(v); return l.Round() }},
 	}
 	for _, m := range methods {
 		b.Run(m.name, func(b *testing.B) {

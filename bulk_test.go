@@ -18,9 +18,8 @@ import (
 	"parsum/internal/oracle"
 )
 
-// bulkEngines are the invertible exact engines; "large" has no native
-// float32 path, so it covers the widening fallback.
-var bulkEngines = []string{"dense", "sparse", "small", "large"}
+// bulkEngines are the invertible exact engines.
+var bulkEngines = []string{"dense", "sparse", "small"}
 
 // wide32 returns n seeded normal float32s spread over 2^±100.
 func wide32(n int, seed int64) []float32 {

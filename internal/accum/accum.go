@@ -14,8 +14,8 @@
 //   - Sparse: the paper's sparse superaccumulator — the vector of active
 //     (index, signed mantissa) components — with a carry-free merge.
 //   - Truncated: the γ-truncated sparse superaccumulator of Section 4.
-//   - Small, Large: Neal-style carry-propagating superaccumulators, the
-//     baselines the paper's MapReduce experiments compare variants against.
+//   - Small: Neal's carry-propagating small superaccumulator, the
+//     baseline the paper's MapReduce experiments compare variants against.
 //
 // All representations store the running sum exactly; Round converts the
 // exact value to the correctly rounded (round-to-nearest-even, hence also

@@ -15,7 +15,7 @@ import (
 // Layout (little-endian varints):
 //
 //	magic   byte = 0xA5
-//	kind    byte ('S' sparse/window, 'D' dense, 'N' Neal small, 'L' Neal large)
+//	kind    byte ('S' sparse/window, 'D' dense, 'N' Neal small)
 //	version byte = 1
 //	width   byte (digit width W)
 //	flags   byte (bit 0 NaN, bit 1 +Inf, bit 2 −Inf, bit 3 extended counts)
@@ -246,7 +246,7 @@ func (a *Window) UnmarshalDense(data []byte) error {
 }
 
 // denseComponents returns the nonzero digits of a's regularized form over
-// the whole digit range — the content of 'D' and 'L' payloads. Regularize
+// the whole digit range — the content of 'D' payloads. Regularize
 // leaves a negative value's top run collapsed to one −1 digit at index s;
 // over the whole range the same value is R−1 at every index from s up to
 // the top digit, and −1 at the top. The window is regularized as a side
@@ -369,38 +369,5 @@ func (s *Small) UnmarshalBinary(data []byte) error {
 	ns.sp = sp
 	ns.nAdd = 1
 	*s = *ns
-	return nil
-}
-
-// MarshalBinary encodes l's value (kind 'L') by folding every exponent bin
-// into the base window and emitting its full-range digits. It implements
-// encoding.BinaryMarshaler.
-func (l *Large) MarshalBinary() ([]byte, error) {
-	l.fold()
-	idx, dig := l.base.denseComponents()
-	sp := l.sp
-	sp.merge(l.base.sp)
-	buf := appendHeader(nil, 'L', l.base.w, sp)
-	return appendComponents(buf, idx, dig), nil
-}
-
-// UnmarshalBinary decodes into l, replacing its contents. It implements
-// encoding.BinaryUnmarshaler.
-func (l *Large) UnmarshalBinary(data []byte) error {
-	w, sp, rest, err := parseHeader(data, 'L')
-	if err != nil {
-		return err
-	}
-	if w != DefaultWidth {
-		return fmt.Errorf("%w: large superaccumulator base width %d, want %d", ErrCodecInvalid, w, DefaultWidth)
-	}
-	idx, dig, err := parseComponents(rest, w)
-	if err != nil {
-		return err
-	}
-	nl := NewLarge()
-	nl.base.setComponents(w, special{}, idx, dig)
-	nl.sp = sp
-	*l = *nl
 	return nil
 }

@@ -18,8 +18,6 @@ var (
 	_ encoding.BinaryUnmarshaler = (*Window)(nil)
 	_ encoding.BinaryMarshaler   = (*Small)(nil)
 	_ encoding.BinaryUnmarshaler = (*Small)(nil)
-	_ encoding.BinaryMarshaler   = (*Large)(nil)
-	_ encoding.BinaryUnmarshaler = (*Large)(nil)
 )
 
 func TestSparseCodecRoundTrip(t *testing.T) {
@@ -215,8 +213,6 @@ func TestCodecQuickNeverPanics(t *testing.T) {
 		_ = w.UnmarshalBinary(data)
 		var sm Small
 		_ = sm.UnmarshalBinary(data)
-		l := NewLarge()
-		_ = l.UnmarshalBinary(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -237,7 +233,6 @@ func streamCodecs(w uint) map[string]func() streamCodec {
 	return map[string]func() streamCodec{
 		"window": func() streamCodec { return NewWindow(w) },
 		"small":  func() streamCodec { return NewSmall() },
-		"large":  func() streamCodec { return NewLarge() },
 	}
 }
 
@@ -354,7 +349,7 @@ func TestCodecMalformedPayloads(t *testing.T) {
 		{"bad-width-low", append(head('S', 7, 0), 0)},                            //
 		{"bad-width-high", append(head('S', 33, 0), 0)},                          //
 		{"small-wrong-width", append(head('N', 16, 0), 0)},                       // Small is fixed W=32
-		{"large-wrong-width", append(head('L', 16, 0), 0)},                       // Large base is fixed W=32
+		{"large-wrong-width", append(head('L', 16, 0), 0)},                       // the retired Large kind
 		{"sparse-as-dense-kind-confusion", append(head('S', 32, 0), 0)},          // decoded below as dense
 		{"count-lies-buffer-has-fewer", append(head('S', 32, 0), 3, 1, 2, 2, 2)}, // 3 claimed, 2 present
 	}
@@ -368,14 +363,13 @@ func TestCodecMalformedPayloads(t *testing.T) {
 				}
 				return
 			}
-			var w Window
+			var w, d Window
 			var sm Small
-			l := NewLarge()
 			errs := []error{
 				s.UnmarshalBinary(tc.data),
 				w.UnmarshalBinary(tc.data),
 				sm.UnmarshalBinary(tc.data),
-				l.UnmarshalBinary(tc.data),
+				d.UnmarshalDense(tc.data),
 			}
 			for i, err := range errs {
 				if err == nil {

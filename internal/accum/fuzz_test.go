@@ -28,7 +28,7 @@ func fuzzBytesToFloats(data []byte, max int) []float64 {
 //     round-trip to the same exact value.
 //  2. Accumulators built from the input (reinterpreted as float64s, with
 //     a width byte) must encode and decode to bit-identical values for
-//     every representation: sparse, dense, window, small, large.
+//     every representation: sparse, dense, window, small.
 func FuzzCodecRoundTrip(f *testing.F) {
 	// Valid encodings, truncations, and garbage seed the "decode anything"
 	// path; float payloads seed the build-encode-decode path.
@@ -80,8 +80,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		_ = w.UnmarshalBinary(data)
 		var sm Small
 		_ = sm.UnmarshalBinary(data)
-		l := NewLarge()
-		_ = l.UnmarshalBinary(data)
 
 		// Obligation 2: encode(build(floats)) decodes bit-identically.
 		if len(data) < 9 {
@@ -142,16 +140,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				return 0, err
 			}
 			return s2.Round(), nil
-		}, want)
-
-		ll := NewLarge()
-		ll.AddSlice(xs)
-		check("large", ll.MarshalBinary, func(b []byte) (float64, error) {
-			l2 := NewLarge()
-			if err := l2.UnmarshalBinary(b); err != nil {
-				return 0, err
-			}
-			return l2.Round(), nil
 		}, want)
 	})
 }

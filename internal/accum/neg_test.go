@@ -77,14 +77,6 @@ func eachRep(t *testing.T, f func(name string, mk func() accOps)) {
 				s.AddNeg(o)
 			}, s.Round}
 		},
-		"large": func() accOps {
-			l := NewLarge()
-			return accOps{l.Add, l.Sub, l.Neg, func(cs string) {
-				o := NewLarge()
-				o.AddSlice(negCases()[cs])
-				l.AddNeg(o)
-			}, l.Round}
-		},
 	}
 	for name, mk := range build {
 		f(name, mk)

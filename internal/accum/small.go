@@ -102,25 +102,6 @@ func (s *Small) laneDigits(lo, hi int) []int64 {
 	return s.dig[lo-s.minIdx : hi-s.minIdx+1]
 }
 
-// addInt64 accumulates the exact value v·2^e. Each chunk receives less
-// than 2^32 regardless of the magnitude of v, so the lazy-add accounting
-// of Add applies unchanged.
-func (s *Small) addInt64(v int64, e int) {
-	if v == 0 {
-		return
-	}
-	if s.nAdd >= s.maxAdd {
-		s.Propagate()
-	}
-	s.nAdd++
-	neg := v < 0
-	m := uint64(v)
-	if neg {
-		m = -m
-	}
-	s.addChunks(neg, m, e)
-}
-
 // Sub deletes x from the accumulated sum exactly — the group inverse of
 // Add. Non-finite values are deleted from the out-of-band multiset (see
 // Window.Sub).

@@ -336,49 +336,6 @@ func TestSmallMerge(t *testing.T) {
 	}
 }
 
-func TestLargeMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 100; trial++ {
-		xs := randValues(r, 1+r.Intn(100), true)
-		l := NewLarge()
-		l.AddSlice(xs)
-		got, want := l.Round(), oracle.Sum(xs)
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("large=%g oracle=%g", got, want)
-		}
-	}
-}
-
-func TestLargeFoldThreshold(t *testing.T) {
-	// Force many folds with same-exponent values.
-	l := NewLarge()
-	const n = 5 * maxLargeAdds
-	for i := 0; i < n; i++ {
-		l.Add(1.5)
-	}
-	if got := l.Round(); got != 1.5*n {
-		t.Fatalf("fold threshold sum = %g, want %g", got, 1.5*float64(n))
-	}
-}
-
-func TestLargeMergeAndSpecials(t *testing.T) {
-	a, b := NewLarge(), NewLarge()
-	a.Add(1)
-	a.Add(math.Inf(1))
-	b.Add(2)
-	a.Merge(b)
-	if got := a.Round(); !math.IsInf(got, 1) {
-		t.Fatalf("merge with +Inf = %g", got)
-	}
-	c, d := NewLarge(), NewLarge()
-	c.Add(math.Inf(1))
-	d.Add(math.Inf(-1))
-	c.Merge(d)
-	if got := c.Round(); !math.IsNaN(got) {
-		t.Fatalf("+Inf + −Inf = %g, want NaN", got)
-	}
-}
-
 func TestAllRepresentationsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 60; trial++ {
@@ -390,10 +347,8 @@ func TestAllRepresentationsAgree(t *testing.T) {
 		wv.AddSlice(xs)
 		sm := NewSmall()
 		sm.AddSlice(xs)
-		lg := NewLarge()
-		lg.AddSlice(xs)
 		for name, got := range map[string]float64{
-			"dense": d.Round(), "window": wv.Round(), "small": sm.Round(), "large": lg.Round(),
+			"dense": d.Round(), "window": wv.Round(), "small": sm.Round(),
 		} {
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("%s=%g oracle=%g", name, got, want)

@@ -141,23 +141,6 @@ var chunkDigits = func() (t [MaxWidth + 1]int) {
 	return t
 }()
 
-// addInt64 accumulates the exact value v·2^e (Large folds its exponent
-// bins through it).
-func (a *Window) addInt64(v int64, e int) {
-	if v == 0 {
-		return
-	}
-	if a.nAdd >= a.maxAdd {
-		a.Regularize()
-	}
-	a.nAdd++
-	m := uint64(v)
-	if v < 0 {
-		m = -m
-	}
-	a.addChunks(v < 0, m, e)
-}
-
 // AddSlice accumulates every element of xs exactly. It is the bulk entry
 // point every bulk consumer uses — the sequential one-shot Sum, the
 // parallel chunk workers, sharded AddBatch, keyed adds, stream bucket

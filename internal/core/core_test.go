@@ -200,13 +200,14 @@ func TestSumParallelPoolReuse(t *testing.T) {
 func TestSumEngineDispatch(t *testing.T) {
 	xs := genData(gen.Random, 3000, 800, 51)
 	want := oracle.Sum(xs)
-	for _, name := range []string{"", EngineDense, EngineSparse, EngineSmall, EngineLarge} {
+	for _, name := range []string{"", EngineDense, EngineSparse, EngineSmall} {
 		if got := SumEngine(name, xs); got != want {
 			t.Fatalf("SumEngine(%q)=%g oracle=%g", name, got, want)
 		}
 	}
-	if got := SumParallel(xs, Options{Engine: EngineLarge, Workers: 4, ChunkSize: 256}); got != want {
-		t.Fatalf("SumParallel(large)=%g oracle=%g", got, want)
+	// small has no specialized parallel path: it runs the generic one.
+	if got := SumParallel(xs, Options{Engine: EngineSmall, Workers: 4, ChunkSize: 256}); got != want {
+		t.Fatalf("SumParallel(small)=%g oracle=%g", got, want)
 	}
 }
 

@@ -15,7 +15,6 @@ const (
 	EngineSparse    = "sparse"
 	EngineAdaptive  = "adaptive"
 	EngineSmall     = "small"
-	EngineLarge     = "large"
 	EngineTruncated = "truncated"
 )
 
@@ -42,11 +41,6 @@ func init() {
 		exactParallel,
 		func(xs []float64) float64 { s := accum.NewSmall(); s.AddSlice(xs); return s.Round() },
 		func() engine.Accumulator { return &smallAcc{s: accum.NewSmall()} }))
-	engine.Register(engine.New(EngineLarge,
-		"Neal-style large superaccumulator (one bin per exponent, fastest sequential accumulate)",
-		exactParallel,
-		func(xs []float64) float64 { l := accum.NewLarge(); l.AddSlice(xs); return l.Round() },
-		func() engine.Accumulator { return &largeAcc{l: accum.NewLarge()} }))
 	engine.Register(engine.New(EngineAdaptive,
 		"condition-number-sensitive γ-truncated summation (Theorem 4; faithful rounding)",
 		engine.Caps{Faithful: true},
@@ -135,24 +129,3 @@ func (a *smallAcc) MarshalBinary() ([]byte, error) { return a.s.MarshalBinary() 
 
 // UnmarshalBinary implements the wire-partial codec for the small engine.
 func (a *smallAcc) UnmarshalBinary(data []byte) error { return a.s.UnmarshalBinary(data) }
-
-// largeAcc adapts accum.Large to the engine.Accumulator interface.
-type largeAcc struct{ l *accum.Large }
-
-func (a *largeAcc) Add(x float64)              { a.l.Add(x) }
-func (a *largeAcc) AddSlice(xs []float64)      { a.l.AddSlice(xs) }
-func (a *largeAcc) Sub(x float64)              { a.l.Sub(x) }
-func (a *largeAcc) SubSlice(xs []float64)      { a.l.SubSlice(xs) }
-func (a *largeAcc) Merge(o engine.Accumulator) { a.l.Merge(o.(*largeAcc).l) }
-
-func (a *largeAcc) SubAccumulator(o engine.Accumulator) { a.l.AddNeg(o.(*largeAcc).l) }
-func (a *largeAcc) Round() float64                      { return a.l.Round() }
-func (a *largeAcc) Reset()                              { a.l.Reset() }
-func (a *largeAcc) Clone() engine.Accumulator           { return &largeAcc{l: a.l.Clone()} }
-
-// MarshalBinary implements the wire-partial codec for the large engine;
-// Large's base width is fixed, enforced by the accum codec.
-func (a *largeAcc) MarshalBinary() ([]byte, error) { return a.l.MarshalBinary() }
-
-// UnmarshalBinary implements the wire-partial codec for the large engine.
-func (a *largeAcc) UnmarshalBinary(data []byte) error { return a.l.UnmarshalBinary(data) }

@@ -12,7 +12,7 @@ import (
 )
 
 // wireEngines returns every registered engine whose partials can cross a
-// process boundary. The four superaccumulator engines must all qualify —
+// process boundary. The three superaccumulator engines must all qualify —
 // that set is the acceptance surface of the distributed subsystem.
 func wireEngines(t *testing.T) []engine.Engine {
 	t.Helper()
@@ -22,7 +22,7 @@ func wireEngines(t *testing.T) []engine.Engine {
 			out = append(out, e)
 		}
 	}
-	for _, want := range []string{"dense", "sparse", "small", "large"} {
+	for _, want := range []string{"dense", "sparse", "small"} {
 		found := false
 		for _, e := range out {
 			if e.Name() == want {

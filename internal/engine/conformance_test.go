@@ -96,7 +96,7 @@ func bitEqual(a, b float64) bool {
 // library ships are registered under their stable names.
 func TestRegistryPopulated(t *testing.T) {
 	want := []string{"adaptive", "demmel-hida", "dense", "ifastsum", "kahan",
-		"large", "naive", "neumaier", "pairwise", "small", "sparse", "truncated"}
+		"naive", "neumaier", "pairwise", "small", "sparse", "truncated"}
 	for _, name := range want {
 		if _, ok := engine.Get(name); !ok {
 			t.Errorf("engine %q not registered", name)
@@ -180,7 +180,8 @@ func TestStreamingEnginesSplitMerge(t *testing.T) {
 	}
 }
 
-// TestAccumulatorAddSliceMatchesAdd pins AddSlice to element-wise Add.
+// TestAccumulatorAddSliceMatchesAdd pins AddSlice to element-wise Add,
+// and every streaming accumulator to a native float32 path.
 func TestAccumulatorAddSliceMatchesAdd(t *testing.T) {
 	xs := gen.New(gen.Config{Dist: gen.SumZero, N: 2000, Delta: 900, Seed: 5}).Slice()
 	for _, e := range engine.All() {
@@ -188,6 +189,9 @@ func TestAccumulatorAddSliceMatchesAdd(t *testing.T) {
 			continue
 		}
 		a, b := e.NewAccumulator(), e.NewAccumulator()
+		if _, ok := a.(engine.Adder32); !ok {
+			t.Errorf("%s: streaming accumulator lacks engine.Adder32", e.Name())
+		}
 		a.AddSlice(xs)
 		for _, x := range xs {
 			b.Add(x)

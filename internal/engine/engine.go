@@ -1,10 +1,10 @@
 // Package engine defines the pluggable summation-engine seam of the
 // library: a uniform interface over every summation strategy (dense and
 // sparse superaccumulators, the adaptive Theorem-4 algorithm, iFastSum,
-// the carry-propagating Neal accumulators, and the non-exact baselines),
-// plus a process-wide registry that the public API, the benchmark harness,
-// and the command-line tools enumerate instead of hard-coding strategy
-// lists.
+// Neal's carry-propagating small superaccumulator, and the non-exact
+// baselines), plus a process-wide registry that the public API, the
+// benchmark harness, and the command-line tools enumerate instead of
+// hard-coding strategy lists.
 //
 // The package is dependency-free by design: implementations live next to
 // the algorithms they wrap (internal/core, internal/baseline) and register
@@ -83,11 +83,12 @@ type Rounder32 interface {
 	Round32() float32
 }
 
-// Adder32 is implemented by accumulators with a native float32 bulk path:
-// AddSlice32 accumulates every element exactly (each binary32 value is
-// exactly representable in the accumulator), bit-identical to widening
-// each element and calling Add, without materializing a float64 copy.
-// SubSlice32 is its group inverse on Invertible engines.
+// Adder32 is the native float32 bulk path every streaming engine's
+// accumulator implements: AddSlice32 accumulates every element exactly
+// (each binary32 value is exactly representable in the accumulator),
+// bit-identical to widening each element and calling Add, without
+// materializing a float64 copy. SubSlice32 is its group inverse on
+// Invertible engines.
 type Adder32 interface {
 	AddSlice32(xs []float32)
 	SubSlice32(xs []float32)

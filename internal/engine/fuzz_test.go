@@ -88,7 +88,7 @@ func FuzzSumEngines(f *testing.F) {
 // valid partial built from the input round-trips to the same exact value
 // through the envelope for every wire-capable engine.
 func FuzzPartialWire(f *testing.F) {
-	for _, name := range []string{"dense", "sparse", "small", "large"} {
+	for _, name := range []string{"dense", "sparse", "small"} {
 		e := engine.MustGet(name)
 		acc := e.NewAccumulator()
 		acc.AddSlice([]float64{1e100, 1, -1e100, 0x1p-1074})
@@ -121,7 +121,7 @@ func FuzzPartialWire(f *testing.F) {
 		// Obligation 2: partials of fuzzer-chosen values round-trip
 		// bit-identically for every wire-capable engine.
 		xs := fuzzBytesToFloats(data, 64)
-		for _, name := range []string{"dense", "sparse", "small", "large"} {
+		for _, name := range []string{"dense", "sparse", "small"} {
 			e := engine.MustGet(name)
 			acc := e.NewAccumulator()
 			acc.AddSlice(xs)

@@ -175,8 +175,8 @@ func invertibleEngines(t *testing.T) []engine.Engine {
 		}
 		out = append(out, e)
 	}
-	if n < 4 {
-		t.Fatalf("only %d invertible engines registered, want the 4 superaccumulator engines", n)
+	if n < 3 {
+		t.Fatalf("only %d invertible engines registered, want the 3 superaccumulator engines", n)
 	}
 	return out
 }

@@ -11,9 +11,9 @@ import (
 	"parsum/internal/oracle"
 )
 
-// engines every keyed test sweeps: the four wire-capable superaccumulator
+// engines every keyed test sweeps: the three wire-capable superaccumulator
 // engines.
-var testEngines = []string{"dense", "sparse", "small", "large"}
+var testEngines = []string{"dense", "sparse", "small"}
 
 // partitionCounts exercises the degenerate single-partition store, a
 // power of two, and an odd count that makes the modulo non-trivial.

@@ -36,12 +36,11 @@ import (
 // reducers.
 type AccKind int
 
-// The paper's two experimental variants plus two extension baselines.
+// The paper's two experimental variants plus a dense extension baseline.
 const (
 	SparseAcc AccKind = iota // sparse superaccumulator (the paper's method)
 	SmallAcc                 // Neal-style small superaccumulator
 	DenseAcc                 // dense (α,β)-regularized superaccumulator
-	LargeAcc                 // Neal-style large superaccumulator
 )
 
 // String names the variant as in the paper's figure legends.
@@ -53,8 +52,6 @@ func (k AccKind) String() string {
 		return "Small Superaccumulator"
 	case DenseAcc:
 		return "Dense Superaccumulator"
-	case LargeAcc:
-		return "Large Superaccumulator"
 	}
 	return fmt.Sprintf("AccKind(%d)", int(k))
 }
@@ -307,7 +304,6 @@ type payload struct {
 	sparse *accum.Sparse
 	small  *accum.Small
 	dense  *accum.Window
-	large  *accum.Large
 	raw    []float64
 }
 
@@ -320,8 +316,6 @@ func (p payload) size() int {
 	case p.dense != nil:
 		lo, hi := accum.DigitBounds(p.dense.Width())
 		return 8 * (hi - lo + 1) // a dense payload ships every digit of the range
-	case p.large != nil:
-		return 8 * 2048
 	default:
 		return 8 * len(p.raw)
 	}
@@ -343,10 +337,6 @@ func combine(split []float64, cfg Config) payload {
 		d := accum.NewFullWindow(cfg.Width)
 		d.AddSlice(split)
 		return payload{dense: d}
-	case LargeAcc:
-		l := accum.NewLarge()
-		l.AddSlice(split)
-		return payload{large: l}
 	}
 	panic("mapreduce: unknown AccKind")
 }
@@ -404,16 +394,6 @@ func reduce(ps []payload, cfg Config) payload {
 			}
 		}
 		return payload{dense: root}
-	case LargeAcc:
-		root := accum.NewLarge()
-		for _, p := range ps {
-			if p.raw != nil {
-				root.AddSlice(p.raw)
-			} else {
-				root.Merge(p.large)
-			}
-		}
-		return payload{large: root}
 	}
 	panic("mapreduce: unknown AccKind")
 }
@@ -450,14 +430,6 @@ func finish(ps []payload, cfg Config) (float64, int) {
 		for _, p := range ps {
 			if p.dense != nil {
 				root.Merge(p.dense)
-			}
-		}
-		return root.Round(), 0
-	case LargeAcc:
-		root := accum.NewLarge()
-		for _, p := range ps {
-			if p.large != nil {
-				root.Merge(p.large)
 			}
 		}
 		return root.Round(), 0

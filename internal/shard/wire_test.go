@@ -25,7 +25,7 @@ func wireValues(r *rand.Rand, n int) []float64 {
 // sharded engine.
 func TestSnapshotMergeBytesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, eng := range []string{"dense", "sparse", "small", "large"} {
+	for _, eng := range []string{"dense", "sparse", "small"} {
 		t.Run(eng, func(t *testing.T) {
 			xs := wireValues(r, 5000)
 			a, err := shard.New(shard.Options{Engine: eng, Shards: 3})

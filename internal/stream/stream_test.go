@@ -13,7 +13,7 @@ import (
 )
 
 // invertibleEngines are the engines a Window can run on.
-var invertibleEngines = []string{"dense", "sparse", "small", "large"}
+var invertibleEngines = []string{"dense", "sparse", "small"}
 
 func bitEqual(a, b float64) bool {
 	if math.IsNaN(a) && math.IsNaN(b) {

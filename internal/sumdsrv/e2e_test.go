@@ -212,7 +212,7 @@ func TestE2EChainedReducers(t *testing.T) {
 
 func TestE2EEngineSelectionAndReset(t *testing.T) {
 	ctx := context.Background()
-	for _, eng := range []string{"dense", "sparse", "small", "large"} {
+	for _, eng := range []string{"dense", "sparse", "small"} {
 		c, _ := startService(t, sumdsrv.Options{Engine: eng, Shards: 2})
 		co, err := c.NewCombiner(eng)
 		if err != nil {

@@ -180,7 +180,7 @@ func modelConfigs() []modelConfig {
 			fsync string
 			snap  int
 		}{{"nowal", "", 0}, {"always", "always", 0}, {"interval", "interval", 5}} {
-			for _, eng := range []string{"dense", "sparse", "small", "large"} {
+			for _, eng := range []string{"dense", "sparse", "small"} {
 				cfgs = append(cfgs, modelConfig{
 					name: mode + "/" + w.name + "/" + eng,
 					opt: sumdsrv.Options{

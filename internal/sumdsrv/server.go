@@ -81,7 +81,7 @@ const MaxBodyBytes = 64 << 20
 type Options struct {
 	// Engine names the summation engine backing the service; "" means
 	// dense. It must be streaming, deterministic-parallel, and
-	// wire-marshalable (the four superaccumulator engines qualify).
+	// wire-marshalable (the three superaccumulator engines qualify).
 	Engine string
 	// Shards is the writer-stripe count of the backing Sharded; 0 means
 	// GOMAXPROCS.

@@ -25,7 +25,7 @@ func TestE2ESubRestoresBits(t *testing.T) {
 	churn = append(churn, math.Inf(1), math.NaN(), math.Inf(-1), math.MaxFloat64)
 	want := parsum.Sum(keep)
 
-	for _, engineName := range []string{"dense", "sparse", "small", "large"} {
+	for _, engineName := range []string{"dense", "sparse", "small"} {
 		c, _ := startService(t, sumdsrv.Options{Engine: engineName, Shards: 3})
 		ctx := context.Background()
 

@@ -27,7 +27,7 @@
 // and Options.Engine, SumEngine, or NewAccumulatorEngine select one:
 //
 //	sum = parsum.SumParallel(xs, parsum.Options{Engine: "sparse"})
-//	acc, err := parsum.NewAccumulatorEngine("large")
+//	acc, err := parsum.NewAccumulatorEngine("small")
 //
 // Beyond the core API, the internal packages implement the paper's PRAM
 // simulator, external-memory algorithms, single-round MapReduce engine,
@@ -205,44 +205,16 @@ func (a *Accumulator) Add(x float64) { a.a.Add(x) }
 func (a *Accumulator) AddSlice(xs []float64) { a.a.AddSlice(xs) }
 
 // AddSlice32 accumulates every element of a float32 slice exactly (each
-// binary32 value is exactly representable in every exact engine). Engines
-// with a native narrow-lane path — the dense, sparse, and small
-// superaccumulators among them — consume the binary32 values directly
-// without materializing a float64 copy; other engines widen element-wise.
-// Either way the result is bit-identical to widening each element and
-// calling Add.
-func (a *Accumulator) AddSlice32(xs []float32) {
-	if n, ok := a.a.(engine.Adder32); ok {
-		n.AddSlice32(xs)
-		return
-	}
-	widen32(xs, a.a.AddSlice)
-}
+// binary32 value is exactly representable in every exact engine). Every
+// streaming engine — the dense, sparse, and small superaccumulators —
+// consumes the binary32 values directly through its native narrow-lane
+// path, without materializing a float64 copy; the result is bit-identical
+// to widening each element and calling Add.
+func (a *Accumulator) AddSlice32(xs []float32) { a.a.(engine.Adder32).AddSlice32(xs) }
 
 // SubSlice32 deletes every element of a float32 slice exactly — the group
 // inverse of AddSlice32. Panics when the engine is not Invertible.
-func (a *Accumulator) SubSlice32(xs []float32) {
-	inv := a.inverter()
-	if n, ok := a.a.(engine.Adder32); ok {
-		n.SubSlice32(xs)
-		return
-	}
-	widen32(xs, inv.SubSlice)
-}
-
-// widen32 feeds xs through bulk as float64s in stack-buffer batches, for
-// engines without a native float32 path.
-func widen32(xs []float32, bulk func([]float64)) {
-	var buf [256]float64
-	for len(xs) > 0 {
-		n := min(len(xs), len(buf))
-		for i, x := range xs[:n] {
-			buf[i] = float64(x)
-		}
-		bulk(buf[:n])
-		xs = xs[n:]
-	}
-}
+func (a *Accumulator) SubSlice32(xs []float32) { a.inverter().(engine.Adder32).SubSlice32(xs) }
 
 // Invertible reports whether the backing engine supports exact deletion
 // (Sub, SubSlice, SubAccumulator). The superaccumulator engines all do:

@@ -145,8 +145,8 @@ func TestPropAccumulatorGroupLaw(t *testing.T) {
 			}
 		})
 	}
-	if sawInvertible < 4 {
-		t.Fatalf("only %d invertible engines visible through Engines(), want >= 4", sawInvertible)
+	if sawInvertible < 3 {
+		t.Fatalf("only %d invertible engines visible through Engines(), want >= 3", sawInvertible)
 	}
 }
 

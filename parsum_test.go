@@ -81,7 +81,7 @@ func TestEnginesListing(t *testing.T) {
 		}
 		byName[e.Name] = e
 	}
-	for _, name := range []string{"dense", "sparse", "adaptive", "ifastsum", "small", "large", "naive"} {
+	for _, name := range []string{"dense", "sparse", "adaptive", "ifastsum", "small", "naive"} {
 		if _, ok := byName[name]; !ok {
 			t.Fatalf("engine %q missing from Engines()", name)
 		}

@@ -2,18 +2,24 @@ package parsum_test
 
 import (
 	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"parsum"
+	"parsum/internal/engine"
 	"parsum/internal/gen"
 	"parsum/internal/oracle"
+	"parsum/internal/proxy"
+	"parsum/internal/sumdsrv"
 )
 
 // TestAccumulatorBinaryRoundTrip: the public marshal surface — encode a
 // partial, decode into a zero Accumulator, and the exact value (and the
 // backing engine) survives.
 func TestAccumulatorBinaryRoundTrip(t *testing.T) {
-	for _, eng := range []string{"dense", "sparse", "small", "large"} {
+	for _, eng := range []string{"dense", "sparse", "small"} {
 		acc, err := parsum.NewAccumulatorEngine(eng)
 		if err != nil {
 			t.Fatal(err)
@@ -117,5 +123,96 @@ func TestShardedWireExchange(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("distributed=%g (bits %x) sequential=%g (bits %x)",
 			got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// fuzzSeed returns the value a checked-in one-argument []byte fuzz corpus
+// file holds.
+func fuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a []byte corpus file", path)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(v)
+}
+
+// TestRetiredLargeEngineRejected: the large engine and its 'L' codec kind
+// are gone, with no alias. Its name, and the bytes it encoded before its
+// removal (kept as fuzz seeds), fail with the registry's unknown-engine
+// error listing the registered engines; an 'L' payload under a surviving
+// engine's name fails its codec. Nothing panics.
+func TestRetiredLargeEngineRejected(t *testing.T) {
+	unknown := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: accepted the retired large engine", what)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, `unknown engine "large"`) {
+			t.Errorf("%s: error %q does not name the unknown engine", what, msg)
+		}
+		for _, info := range parsum.Engines() {
+			if !strings.Contains(msg, info.Name) {
+				t.Errorf("%s: error %q does not list registered engine %q", what, msg, info.Name)
+			}
+		}
+	}
+	_, err := parsum.NewAccumulatorEngine("large")
+	unknown("NewAccumulatorEngine", err)
+	if srv, err := sumdsrv.New(sumdsrv.Options{Engine: "large"}); err == nil {
+		srv.Close()
+		t.Fatal("sumdsrv.New accepted the retired large engine")
+	} else {
+		unknown("sumdsrv.New", err)
+	}
+	if p, err := proxy.New(proxy.Options{Backends: []string{"http://127.0.0.1:1"}, Engine: "large"}); err == nil {
+		p.Close()
+		t.Fatal("proxy.New accepted the retired large engine")
+	} else {
+		unknown("proxy.New", err)
+	}
+
+	partial := fuzzSeed(t, "internal/engine/testdata/fuzz/FuzzPartialWire/partial-large")
+	_, _, err = engine.UnmarshalPartial(partial)
+	unknown("engine.UnmarshalPartial", err)
+	var acc parsum.Accumulator
+	unknown("Accumulator.UnmarshalBinary", acc.UnmarshalBinary(partial))
+
+	// A one-key keyed envelope: magic, version, engine name, one entry.
+	payload := fuzzSeed(t, "internal/accum/testdata/fuzz/FuzzCodecRoundTrip/payload-large")
+	envelope := func(name string) []byte {
+		b := append([]byte{0xC9, 1, byte(len(name))}, name...)
+		b = append(b, 1, 1, 'k', byte(len(payload)))
+		return append(b, payload...)
+	}
+	for _, name := range []string{"dense", "sparse", "small"} {
+		k, err := parsum.NewKeyed(parsum.KeyedOptions{Engine: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "dense" {
+			unknown("Keyed.ImportMerge", k.ImportMerge(envelope("large")))
+		}
+		// The 'L' payload under a surviving name: every codec rejects the
+		// retired kind, and the store stays empty.
+		if err := k.ImportMerge(envelope(name)); err == nil {
+			t.Errorf("%s: keyed envelope with an 'L' payload accepted", name)
+		}
+		blob := append([]byte{0xC7, 1, byte(len(name))}, name...)
+		if _, _, err := engine.UnmarshalPartial(append(blob, payload...)); err == nil {
+			t.Errorf("%s: partial with an 'L' payload accepted", name)
+		}
+		if n := k.Len(); n != 0 {
+			t.Errorf("%s: rejected envelopes left %d keys", name, n)
+		}
 	}
 }
