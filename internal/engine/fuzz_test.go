@@ -96,6 +96,9 @@ func FuzzPartialWire(f *testing.F) {
 			f.Add(blob)
 		}
 	}
+	// A header naming the retired large engine: it must fail as an
+	// unknown engine, never decode.
+	f.Add([]byte{0xC7, 1, 5, 'l', 'a', 'r', 'g', 'e'})
 	f.Add([]byte{0xC7, 1, 5, 'd', 'e', 'n', 's', 'e'})
 	f.Add([]byte{0xC7, 1, 0})
 	f.Add([]byte{})
