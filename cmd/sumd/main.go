@@ -8,16 +8,19 @@
 // Usage:
 //
 //	sumd -addr :8372 -engine dense -shards 8
-//	sumd -async -queue 512 -maxbatch 8192
+//	sumd -async -queue 512 -maxbatch 8192 -wal /var/lib/sumd/wal -fsync always
 //	sumd -partitions 16   # keyed-store stripes for /v1/add?key=…
 //
 // With -async, /v1/add and /v1/sub go through the batched ingestion
 // front-end: a bounded queue whose flusher takes everything already
 // queued, up to -maxbatch values, whenever it is free (group commit with
 // no added wait), and 429 with Retry-After when the queue is full (sync
-// ingestion remains the default). -maxdelay is accepted for old command
-// lines and ignored. Every ingest counter is served in Prometheus text
-// format on GET /metrics.
+// ingestion remains the default). A flush journals its whole group with
+// one commit, so the batcher pays where every commit fsyncs (-fsync
+// always) and costs throughput elsewhere. In both modes a write whose
+// commit failed is answered 500, never 200. -maxdelay is accepted for
+// old command lines and ignored. Every ingest counter is served in
+// Prometheus text format on GET /metrics.
 //
 // With -wal DIR, every state-mutating request is journaled to an
 // append-only CRC-framed log in DIR and committed before it is

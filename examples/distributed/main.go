@@ -61,7 +61,7 @@ func main() {
 	// would run it as a standalone daemon.
 	srv, err := sumdsrv.New(sumdsrv.Options{
 		Shards: *workers,
-		Async:  *async, // defaults for queue/batch/delay; see internal/batch
+		Async:  *async, // default queue length, batch cap and flusher count; see internal/batch
 	})
 	if err != nil {
 		fail(err)

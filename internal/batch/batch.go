@@ -1,32 +1,33 @@
 // Package batch implements the asynchronous ingestion front-end for the
 // aggregation service: a group-commit batcher that sits between request
-// handlers and a sharded exact accumulator. Handlers enqueue
-// (values, reply) items into a bounded queue; a flusher goroutine blocks
-// for one request, takes whatever else is already queued without
-// waiting (up to MaxBatch values), applies the whole group to the sink
-// in one AddBatch / SubBatch call and completes every reply. Requests
-// that arrive while that flush runs form the next group, so the flush
-// itself clocks group commit: an idle batcher adds no wait, a busy one
+// handlers and one flush function. Handlers enqueue (key, values,
+// reply) items into a bounded queue; a flusher goroutine blocks for one
+// request, takes whatever else is already queued without waiting (up to
+// MaxBatch values), hands the whole group to the flush function in one
+// call and completes every reply with that call's error. Requests that
+// arrive while that flush runs form the next group, so the flush itself
+// clocks group commit: an idle batcher adds no wait, a busy one
 // coalesces exactly what queued up behind the previous flush. When the
-// queue is full the enqueue fails fast with ErrQueueFull and the
-// accumulator is untouched, so the caller can answer 429 instead of
-// blocking the accept loop.
+// queue is full the enqueue fails fast with ErrQueueFull and the flush
+// function never sees the request, so the caller can answer 429 instead
+// of blocking the accept loop.
 //
-// Batching is safe for exactness, not merely for throughput: the sink is
-// a superaccumulator (a commutative group under exact addition), so any
-// coalescing, reordering across flushers, or add/sub regrouping the
-// batcher performs yields a final sum bit-identical to summing the
-// accepted multiset sequentially. Admission is the only observable
-// effect — which is exactly what the reply channel reports: when Add
-// returns nil, the values are already folded into the sink, so any
-// subsequent Sum observes them (group commit).
+// Batching is safe for exactness, not merely for throughput: the state
+// behind the flush function is a superaccumulator (a commutative group
+// under exact addition), so any coalescing, reordering across flushers,
+// or add/sub regrouping the batcher performs yields a final sum
+// bit-identical to summing the accepted multiset sequentially. Admission
+// is the only observable effect — which is exactly what the reply
+// reports: when Add returns, the flush containing xs has run, so any
+// subsequent Sum observes the values (group commit), and the error is
+// that flush's (nil, or the journal commit failure sumd answers 500).
 //
 // Every counter lives in one mutex-guarded Metrics struct, updated on
 // the enqueue and flush paths and copied out atomically by Metrics(),
 // so a snapshot can never report more flushes than enqueues (see the
 // invariants on Metrics). The enqueue hot path performs no allocations:
-// items are recycled through a sync.Pool and replies travel over pooled
-// one-slot channels.
+// items are recycled through a sync.Pool, replies travel over pooled
+// one-slot channels, and each flusher reuses one Group.
 package batch
 
 import (
@@ -39,29 +40,75 @@ import (
 )
 
 // ErrQueueFull is returned by Add/Sub when the bounded queue is at
-// capacity. The batch was not admitted and the sink is untouched; the
-// caller should shed load (HTTP 429) or back off and retry.
+// capacity. The batch was not admitted and the flush function never
+// sees it; the caller should shed load (HTTP 429) or back off and retry.
 var ErrQueueFull = errors.New("batch: queue full")
 
 // ErrClosed is returned by Add/Sub after Close.
 var ErrClosed = errors.New("batch: batcher closed")
 
-// Sink is the exact accumulator the batcher flushes into.
-// *parsum.Sharded implements it.
+// Sink is the single-sum accumulator a flush function applies a Group
+// to; *parsum.Sharded and *shard.Sharded implement it. sumd's sink also
+// implements SliceSink and KeyedSink, and sumdsrv.Options.WrapSink must
+// keep all three.
 type Sink interface {
 	AddBatch(xs []float64)
 	SubBatch(xs []float64)
 }
 
-// SliceSink is an optional Sink extension: a sink that can apply a
-// whole flush group as a list of slices in one call spares the batcher
-// the concatenation copy on multi-request flushes. *shard.Sharded and
-// *parsum.Sharded implement it (one striped-lock acquisition for the
-// whole group). The batcher detects it at construction and prefers it
-// automatically.
+// SliceSink applies a Group's plain slices in one call, with no
+// concatenation copy; *shard.Sharded and *parsum.Sharded implement it
+// under one striped-lock acquisition.
 type SliceSink interface {
 	AddBatches(batches [][]float64)
 	SubBatches(batches [][]float64)
+}
+
+// KeyedSink applies a Group's keyed batches in one call; *keyed.Store
+// and *parsum.Keyed implement it with one lock hop per touched
+// partition.
+type KeyedSink interface {
+	AddKeyedBatches(batches []keyed.Batch)
+	SubKeyedBatches(batches []keyed.Batch)
+}
+
+// Group is one flush group split by kind: the plain add and sub slices
+// and the keyed add and sub batches of every request in it, each list in
+// queue order. The slices alias the requests' values, so a flush
+// function must not keep them past its return.
+type Group struct {
+	Add, Sub           [][]float64
+	AddKeyed, SubKeyed []keyed.Batch
+}
+
+// Put appends one request to g; a non-empty key makes it a keyed batch.
+func (g *Group) Put(key string, xs []float64, sub bool) {
+	switch {
+	case key != "" && sub:
+		g.SubKeyed = append(g.SubKeyed, keyed.Batch{Key: key, Values: xs})
+	case key != "":
+		g.AddKeyed = append(g.AddKeyed, keyed.Batch{Key: key, Values: xs})
+	case sub:
+		g.Sub = append(g.Sub, xs)
+	default:
+		g.Add = append(g.Add, xs)
+	}
+}
+
+// Len returns the number of requests in g.
+func (g *Group) Len() int {
+	return len(g.Add) + len(g.Sub) + len(g.AddKeyed) + len(g.SubKeyed)
+}
+
+// Reset empties g for reuse. It drops the references to the requests'
+// values too, so a reused Group does not pin them.
+func (g *Group) Reset() {
+	clear(g.Add)
+	clear(g.Sub)
+	clear(g.AddKeyed)
+	clear(g.SubKeyed)
+	g.Add, g.Sub = g.Add[:0], g.Sub[:0]
+	g.AddKeyed, g.SubKeyed = g.AddKeyed[:0], g.SubKeyed[:0]
 }
 
 // Options configures a Batcher. The zero value is usable: queue of 256
@@ -76,9 +123,9 @@ type Options struct {
 	MaxBatch int
 	// Flushers is the number of concurrent flusher goroutines. More
 	// than one trades the single-flusher ordering guarantee for flush
-	// parallelism — harmless for exactness (the sink is a commutative
-	// group) and useful when one goroutine cannot saturate the sink.
-	// 0 means 1.
+	// parallelism — harmless for exactness (the state is a commutative
+	// group) and useful when one goroutine cannot saturate the flush
+	// function. 0 means 1.
 	Flushers int
 }
 
@@ -97,7 +144,7 @@ func (o Options) withDefaults() Options {
 
 // item is one admitted request. done is a one-slot reply channel (send,
 // never close, so items recycle through the pool). A non-empty key marks
-// a keyed request bound for the KeyedSink; "" is the single-sum path.
+// a keyed request; "" is the single-sum path.
 type item struct {
 	key    string
 	values []float64
@@ -110,14 +157,12 @@ var itemPool = sync.Pool{New: func() any { return &item{done: make(chan error, 1
 // Batcher is the bounded-queue, group-commit ingestion front-end.
 // All methods are safe for concurrent use.
 type Batcher struct {
-	sink   Sink
-	slices SliceSink // non-nil when sink also implements SliceSink
-	keyed  KeyedSink // non-nil when sink also implements KeyedSink
-	opt    Options
-	ch     chan *item
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
+	fn   func(*Group) error
+	opt  Options
+	ch   chan *item
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 
 	// mu guards closed and every counter in m; the enqueue path takes it
 	// once (the queue send happens inside, non-blocking), the flush path
@@ -127,17 +172,17 @@ type Batcher struct {
 	m      Metrics
 }
 
-// New starts a Batcher flushing into sink. Stop it with Close.
-func New(sink Sink, opt Options) *Batcher {
+// New starts a Batcher that hands every flush group to flush, once per
+// flush, and answers each request of the group with flush's error.
+// Stop it with Close.
+func New(flush func(*Group) error, opt Options) *Batcher {
 	opt = opt.withDefaults()
 	b := &Batcher{
-		sink: sink,
+		fn:   flush,
 		opt:  opt,
 		ch:   make(chan *item, opt.QueueLen),
 		stop: make(chan struct{}),
 	}
-	b.slices, _ = sink.(SliceSink)
-	b.keyed, _ = sink.(KeyedSink)
 	b.wg.Add(opt.Flushers)
 	for i := 0; i < opt.Flushers; i++ {
 		go b.runFlusher()
@@ -157,18 +202,19 @@ func (b *Batcher) Metrics() Metrics {
 	return m
 }
 
-// Add submits xs for exact accumulation. It returns nil only after the
-// flush containing xs has completed, ErrQueueFull when the queue was at
-// capacity (state untouched), or ctx's error if the caller gave up
-// waiting — in that last case the batch was admitted and will still be
-// applied. An empty xs is a no-op.
+// Add submits xs for exact accumulation. It returns once the flush
+// containing xs has run, with that flush's error (nil: applied);
+// ErrQueueFull when the queue was at capacity (nothing admitted); or
+// ctx's error if the caller gave up waiting — in that last case the
+// batch was admitted and will still be flushed. An empty xs is a no-op.
 func (b *Batcher) Add(ctx context.Context, xs []float64) error {
 	return b.submit(ctx, "", xs, false)
 }
 
 // Sub submits xs for exact deletion — identical admission and completion
-// semantics to Add. The sink must support SubBatch for the values ever
-// flushed here (the server gates non-invertible engines upstream).
+// semantics to Add. The flush function must support deletion for the
+// values ever flushed here (the server gates non-invertible engines
+// upstream).
 func (b *Batcher) Sub(ctx context.Context, xs []float64) error {
 	return b.submit(ctx, "", xs, true)
 }
@@ -185,7 +231,7 @@ func (b *Batcher) submit(ctx context.Context, key string, xs []float64, sub bool
 		return err
 	case <-ctx.Done():
 		// Admitted but the caller stopped waiting: the flusher will
-		// still apply the batch and send the reply; the item is left to
+		// still flush the batch and send the reply; the item is left to
 		// the GC since its reply was never consumed.
 		return ctx.Err()
 	}
@@ -249,13 +295,13 @@ func (b *Batcher) Close() {
 func (b *Batcher) runFlusher() {
 	defer b.wg.Done()
 	var pending []*item
-	var sc scratch
+	var g Group
 	for {
 		select {
 		case it := <-b.ch:
 			pending = append(pending, it)
 		case <-b.stop:
-			b.flush(drainQueued(b.ch, pending), &sc, false)
+			b.flush(drainQueued(b.ch, pending), &g, false)
 			return
 		}
 		n := len(pending[0].values)
@@ -269,7 +315,7 @@ func (b *Batcher) runFlusher() {
 				break fill
 			}
 		}
-		b.flush(pending, &sc, n >= b.opt.MaxBatch)
+		b.flush(pending, &g, n >= b.opt.MaxBatch)
 		pending = pending[:0]
 	}
 }
@@ -288,129 +334,26 @@ func drainQueued(ch <-chan *item, pending []*item) []*item {
 	}
 }
 
-// scratch is one flusher's reusable flush buffers: slice lists for the
-// SliceSink path, concatenation buffers for the plain Sink fallback,
-// batch lists and an item filter for the keyed path.
-type scratch struct {
-	addS, subS [][]float64
-	add, sub   []float64
-	addK, subK []keyed.Batch
-	plain      []*item
-}
-
-// flush applies one coalesced group to the sink — one AddBatches /
-// SubBatches call when the sink is a SliceSink (no copying), otherwise
-// one concatenated AddBatch and/or SubBatch — records the counters
-// under one lock, and then completes every reply. Replies come last,
-// so by the time a caller's Add returns, both the sink and the metrics
-// already reflect its batch. capped reports that the group stopped at
-// MaxBatch values rather than emptying the queue.
-func (b *Batcher) flush(items []*item, sc *scratch, capped bool) {
+// flush hands one coalesced group to the flush function in g (the
+// flusher's reused Group), records the counters under one lock, and then
+// completes every reply with the function's error. Replies come last, so
+// by the time a caller's Add returns, both the state behind the function
+// and the metrics already reflect its batch. capped reports that the
+// group stopped at MaxBatch values rather than emptying the queue.
+func (b *Batcher) flush(items []*item, g *Group, capped bool) {
 	if len(items) == 0 {
 		return
 	}
 	nv := 0
-	keyedN := 0
 	for _, it := range items {
 		nv += len(it.values)
-		if it.key != "" {
-			keyedN++
-		}
+		g.Put(it.key, it.values, it.sub)
 	}
+	keyedN := len(g.AddKeyed) + len(g.SubKeyed)
 	start := time.Now()
-	plain := items
-	if keyedN > 0 {
-		// Keyed requests exist only when the sink is a KeyedSink (AddKeyed
-		// gates on it before enqueueing). Split them out, apply the whole
-		// keyed share in one AddKeyedBatches/SubKeyedBatches pair — at most
-		// one lock hop per touched store partition — and leave the plain
-		// items for the usual paths below.
-		ps, addK, subK := sc.plain[:0], sc.addK[:0], sc.subK[:0]
-		for _, it := range items {
-			switch {
-			case it.key == "":
-				ps = append(ps, it)
-			case it.sub:
-				subK = append(subK, keyed.Batch{Key: it.key, Values: it.values})
-			default:
-				addK = append(addK, keyed.Batch{Key: it.key, Values: it.values})
-			}
-		}
-		if len(addK) > 0 {
-			b.keyed.AddKeyedBatches(addK)
-		}
-		if len(subK) > 0 {
-			b.keyed.SubKeyedBatches(subK)
-		}
-		// Drop the value references before reusing the buffers: the
-		// caller-owned slices must not stay pinned past the flush.
-		for i := range addK {
-			addK[i] = keyed.Batch{}
-		}
-		for i := range subK {
-			subK[i] = keyed.Batch{}
-		}
-		sc.addK, sc.subK = addK, subK
-		plain = ps
-	}
-	switch {
-	case len(plain) == 0:
-		// All-keyed flush: nothing for the single-sum sink.
-	case len(plain) == 1:
-		// Single-request flush: hand the batch straight to the sink.
-		if plain[0].sub {
-			b.sink.SubBatch(plain[0].values)
-		} else {
-			b.sink.AddBatch(plain[0].values)
-		}
-	case b.slices != nil:
-		addS, subS := sc.addS[:0], sc.subS[:0]
-		for _, it := range plain {
-			if it.sub {
-				subS = append(subS, it.values)
-			} else {
-				addS = append(addS, it.values)
-			}
-		}
-		if len(addS) > 0 {
-			b.slices.AddBatches(addS)
-		}
-		if len(subS) > 0 {
-			b.slices.SubBatches(subS)
-		}
-		// Drop the value references before pooling the headers: the
-		// caller-owned slices must not stay pinned past the flush.
-		for i := range addS {
-			addS[i] = nil
-		}
-		for i := range subS {
-			subS[i] = nil
-		}
-		sc.addS, sc.subS = addS, subS
-	default:
-		add, sub := sc.add[:0], sc.sub[:0]
-		for _, it := range plain {
-			if it.sub {
-				sub = append(sub, it.values...)
-			} else {
-				add = append(add, it.values...)
-			}
-		}
-		if len(add) > 0 {
-			b.sink.AddBatch(add)
-		}
-		if len(sub) > 0 {
-			b.sink.SubBatch(sub)
-		}
-		sc.add, sc.sub = add, sub
-	}
-	if keyedN > 0 {
-		for i := range plain {
-			plain[i] = nil
-		}
-		sc.plain = plain[:0]
-	}
+	err := b.fn(g)
 	dur := time.Since(start)
+	g.Reset()
 
 	b.mu.Lock()
 	b.m.Flushes++
@@ -429,6 +372,6 @@ func (b *Batcher) flush(items []*item, sc *scratch, capped bool) {
 	b.mu.Unlock()
 
 	for _, it := range items {
-		it.done <- nil
+		it.done <- err
 	}
 }

@@ -1,16 +1,19 @@
 // Unit tests for the batcher: drain-and-flush group commit (made
-// deterministic by a gated sink that holds one flush open while the next
-// group queues behind it, so no test depends on timing), MaxBatch
-// splitting a backlog into size flushes, bounded-queue rejection with
-// untouched state, drain-on-Close, the zero-allocation enqueue hot path,
-// and the consistency invariants of the metrics snapshot under
+// deterministic by a gated flush function that holds one flush open
+// while the next group queues behind it, so no test depends on timing),
+// MaxBatch splitting a backlog into size flushes, bounded-queue
+// rejection with untouched state, drain-on-Close, a flush's error
+// reaching every request of its group, the zero-allocation enqueue hot
+// path, and the consistency invariants of the metrics snapshot under
 // concurrency.
 package batch_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -18,65 +21,93 @@ import (
 
 	"parsum"
 	"parsum/internal/batch"
+	"parsum/internal/keyed"
 	"parsum/internal/oracle"
 	"parsum/internal/shard"
 )
 
-// recSink records every sink call. It implements only Sink (not
-// SliceSink), so multi-request flushes exercise the concatenation path.
-type recSink struct {
+// recorder is a flush function that records a copy of every group it is
+// handed, in call order, and returns errs[i] from call i (nil past the
+// end of errs).
+type recorder struct {
 	mu    sync.Mutex
-	adds  []float64
-	subs  []float64
-	calls [][]float64 // every AddBatch/SubBatch payload, in call order
+	calls []batch.Group
+	errs  []error
 
 	gate    chan struct{} // when non-nil, every call waits until it is closed
 	entered chan struct{} // when non-nil, every call signals here first
 }
 
-// gatedSink returns a recSink whose calls park until the test closes
-// gate. entered is buffered past any test's call count, so signalling
-// never blocks a flush.
-func gatedSink() *recSink {
-	return &recSink{gate: make(chan struct{}), entered: make(chan struct{}, 64)}
+// gatedRecorder returns a recorder whose calls park until the test
+// closes gate. entered is buffered past any test's call count, so
+// signalling never blocks a flush.
+func gatedRecorder() *recorder {
+	return &recorder{gate: make(chan struct{}), entered: make(chan struct{}, 64)}
 }
 
-func (r *recSink) apply(xs []float64, sub bool) {
+func (r *recorder) flush(g *batch.Group) error {
 	if r.entered != nil {
 		r.entered <- struct{}{}
 	}
 	if r.gate != nil {
 		<-r.gate
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cp := append([]float64(nil), xs...)
-	r.calls = append(r.calls, cp)
-	if sub {
-		r.subs = append(r.subs, cp...)
-	} else {
-		r.adds = append(r.adds, cp...)
+	cp := batch.Group{}
+	for _, xs := range g.Add {
+		cp.Add = append(cp.Add, slices.Clone(xs))
 	}
-}
-
-func (r *recSink) AddBatch(xs []float64) { r.apply(xs, false) }
-func (r *recSink) SubBatch(xs []float64) { r.apply(xs, true) }
-
-func (r *recSink) snapshot() (adds, subs []float64, calls int) {
+	for _, xs := range g.Sub {
+		cp.Sub = append(cp.Sub, slices.Clone(xs))
+	}
+	for _, kb := range g.AddKeyed {
+		cp.AddKeyed = append(cp.AddKeyed, keyed.Batch{Key: kb.Key, Values: slices.Clone(kb.Values)})
+	}
+	for _, kb := range g.SubKeyed {
+		cp.SubKeyed = append(cp.SubKeyed, keyed.Batch{Key: kb.Key, Values: slices.Clone(kb.Values)})
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]float64(nil), r.adds...), append([]float64(nil), r.subs...), len(r.calls)
+	r.calls = append(r.calls, cp)
+	if i := len(r.calls) - 1; i < len(r.errs) {
+		return r.errs[i]
+	}
+	return nil
 }
 
-// callLens returns the payload length of every sink call, in call order.
-func (r *recSink) callLens() []int {
+// snapshot returns every plain added and deleted value, in call order,
+// and the number of calls.
+func (r *recorder) snapshot() (adds, subs []float64, calls int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, g := range r.calls {
+		adds = append(adds, slices.Concat(g.Add...)...)
+		subs = append(subs, slices.Concat(g.Sub...)...)
+	}
+	return adds, subs, len(r.calls)
+}
+
+// callLens returns the number of plain values in every call, in call
+// order.
+func (r *recorder) callLens() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lens := make([]int, len(r.calls))
-	for i, c := range r.calls {
-		lens[i] = len(c)
+	for i, g := range r.calls {
+		lens[i] = len(slices.Concat(g.Add...)) + len(slices.Concat(g.Sub...))
 	}
 	return lens
+}
+
+// applyTo returns a flush function that applies each group's plain
+// slices to s.
+func applyTo(s *shard.Sharded) func(*batch.Group) error {
+	return func(g *batch.Group) error {
+		s.AddBatches(g.Add)
+		if len(g.Sub) > 0 {
+			s.SubBatches(g.Sub)
+		}
+		return nil
+	}
 }
 
 // waitFor polls cond until it holds or the test deadline budget burns.
@@ -113,12 +144,25 @@ func submit(ctx context.Context, b *batch.Batcher, xs []float64, sub bool) <-cha
 	return errc
 }
 
+// submitKeyed is submit for a keyed request.
+func submitKeyed(ctx context.Context, b *batch.Batcher, key string, xs []float64, sub bool) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		if sub {
+			errc <- b.SubKeyed(ctx, key, xs)
+		} else {
+			errc <- b.AddKeyed(ctx, key, xs)
+		}
+	}()
+	return errc
+}
+
 // holdFlush submits xs and returns once the flusher is parked inside the
-// gated sink with it. Until the gate opens, everything submitted later
+// gated flush with it. Until the gate opens, everything submitted later
 // waits in the queue and forms the next flush group.
-func holdFlush(b *batch.Batcher, sink *recSink, xs []float64) <-chan error {
+func holdFlush(b *batch.Batcher, rec *recorder, xs []float64) <-chan error {
 	errc := submit(context.Background(), b, xs, false)
-	<-sink.entered
+	<-rec.entered
 	return errc
 }
 
@@ -134,23 +178,23 @@ func waitAll(t *testing.T, errcs ...<-chan error) {
 // TestSizeFlushCoalesces proves the MaxBatch cap: nine 2-value requests
 // queue behind a held flush, and with MaxBatch 8 they leave the queue as
 // two capped 8-value flushes (cause size) and one 2-value remainder that
-// empties the queue (cause drain). Each group is one sink call, and
+// empties the queue (cause drain). Each group is one flush call, and
 // every Add returns only after its flush completed (group commit).
 func TestSizeFlushCoalesces(t *testing.T) {
-	sink := gatedSink()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 8})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 16, MaxBatch: 8})
 	defer b.Close()
 
-	errcs := []<-chan error{holdFlush(b, sink, seq(0, 2))}
+	errcs := []<-chan error{holdFlush(b, rec, seq(0, 2))}
 	for i := 1; i <= 9; i++ {
 		errcs = append(errcs, submit(context.Background(), b, seq(10*i, 2), false))
 	}
 	waitFor(t, "backlog to queue", func() bool { return b.Metrics().Enqueued == 10 })
-	close(sink.gate)
+	close(rec.gate)
 	waitAll(t, errcs...)
 
-	if got, want := sink.callLens(), []int{2, 8, 8, 2}; !slices.Equal(got, want) {
-		t.Fatalf("sink call sizes %v, want %v", got, want)
+	if got, want := rec.callLens(), []int{2, 8, 8, 2}; !slices.Equal(got, want) {
+		t.Fatalf("flush call sizes %v, want %v", got, want)
 	}
 	m := b.Metrics()
 	if m.Flushes != 4 || m.SizeFlushes != 2 || m.DrainFlushes != 2 {
@@ -165,14 +209,14 @@ func TestSizeFlushCoalesces(t *testing.T) {
 // away, a request is applied and answered without waiting for company,
 // and the flush counts as a drain.
 func TestLoneRequestFlushesAtOnce(t *testing.T) {
-	sink := &recSink{}
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
+	rec := &recorder{}
+	b := batch.New(rec.flush, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
 	if err := b.Add(context.Background(), seq(0, 3)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	adds, _, calls := sink.snapshot()
+	adds, _, calls := rec.snapshot()
 	if calls != 1 || len(adds) != 3 {
 		t.Fatalf("got %d calls with %d values, want 1 with 3", calls, len(adds))
 	}
@@ -182,10 +226,10 @@ func TestLoneRequestFlushesAtOnce(t *testing.T) {
 }
 
 // TestLoneRequestsApplyInOrder: successive lone requests each flush on
-// their own, and the sink sees them in submission order.
+// their own, and the flush function sees them in submission order.
 func TestLoneRequestsApplyInOrder(t *testing.T) {
-	sink := &recSink{}
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
+	rec := &recorder{}
+	b := batch.New(rec.flush, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
 	for _, lo := range []int{100, 200, 300} {
@@ -193,14 +237,14 @@ func TestLoneRequestsApplyInOrder(t *testing.T) {
 			t.Fatalf("Add(%d): %v", lo, err)
 		}
 	}
-	sink.mu.Lock()
+	rec.mu.Lock()
 	var firsts []float64
-	for _, c := range sink.calls {
-		firsts = append(firsts, c[0])
+	for _, g := range rec.calls {
+		firsts = append(firsts, g.Add[0][0])
 	}
-	sink.mu.Unlock()
+	rec.mu.Unlock()
 	if len(firsts) != 3 || firsts[0] != 100 || firsts[1] != 200 || firsts[2] != 300 {
-		t.Fatalf("sink calls began with %v, want [100 200 300]", firsts)
+		t.Fatalf("flush calls began with %v, want [100 200 300]", firsts)
 	}
 	if m := b.Metrics(); m.DrainFlushes != 3 || m.Flushes != 3 {
 		t.Fatalf("want 3 drain flushes, got %+v", m)
@@ -208,23 +252,24 @@ func TestLoneRequestsApplyInOrder(t *testing.T) {
 }
 
 // TestRejectLeavesStateUntouched fills the bounded queue behind a
-// blocked sink and asserts the overflowing request fails fast with
-// ErrQueueFull, mutates nothing, and is invisible to the sink forever —
+// blocked flush and asserts the overflowing request fails fast with
+// ErrQueueFull, mutates nothing, and is invisible to the flush function
+// forever —
 // the exactness half of the 429 contract.
 func TestRejectLeavesStateUntouched(t *testing.T) {
-	sink := gatedSink()
-	b := batch.New(sink, batch.Options{QueueLen: 2, MaxBatch: 1})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 2, MaxBatch: 1})
 	defer b.Close()
 
 	ctx := context.Background()
 	results := make(chan error, 3)
 	go func() { results <- b.Add(ctx, []float64{1}) }()
-	<-sink.entered // flusher is now blocked inside the sink holding request 1
+	<-rec.entered // flusher is now blocked inside the flush holding request 1
 
 	go func() { results <- b.Add(ctx, []float64{2}) }()
 	go func() { results <- b.Add(ctx, []float64{3}) }()
-	// Depth 3: request 1 is admitted-but-unflushed (the sink is holding
-	// its flush open) and requests 2 and 3 fill the two queue slots.
+	// Depth 3: request 1 is admitted-but-unflushed (its flush is held
+	// open) and requests 2 and 3 fill the two queue slots.
 	waitFor(t, "queue to fill", func() bool { return b.Metrics().QueueDepth == 3 })
 
 	before := b.Metrics()
@@ -240,45 +285,45 @@ func TestRejectLeavesStateUntouched(t *testing.T) {
 		t.Fatalf("rejection mutated admission state: before %+v after %+v", before, after)
 	}
 
-	close(sink.gate) // release the sink; everything admitted must complete
+	close(rec.gate) // release the flush; everything admitted must complete
 	for i := 0; i < 3; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("admitted Add failed: %v", err)
 		}
 	}
 	waitFor(t, "drain", func() bool { return b.Metrics().QueueDepth == 0 })
-	adds, _, _ := sink.snapshot()
+	adds, _, _ := rec.snapshot()
 	sum := 0.0
 	for _, v := range adds {
 		sum += v
 	}
 	if len(adds) != 3 || sum != 6 {
-		t.Fatalf("sink saw %v, want exactly the admitted values {1,2,3}", adds)
+		t.Fatalf("flushes saw %v, want exactly the admitted values {1,2,3}", adds)
 	}
 }
 
 // TestSubSplitsFromAdds queues insertions and deletions behind a held
-// flush so they form one group, and asserts the batcher routes that
-// group to one concatenated AddBatch and one SubBatch call.
+// flush so they form one group, and asserts the batcher splits that
+// group into its Add and Sub lists, with nothing crossing over.
 func TestSubSplitsFromAdds(t *testing.T) {
-	sink := gatedSink()
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 64})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 16, MaxBatch: 64})
 	defer b.Close()
 
 	ctx := context.Background()
-	errcs := []<-chan error{holdFlush(b, sink, []float64{-1})}
+	errcs := []<-chan error{holdFlush(b, rec, []float64{-1})}
 	for i := 0; i < 3; i++ {
 		errcs = append(errcs,
 			submit(ctx, b, []float64{float64(i)}, false),
 			submit(ctx, b, []float64{float64(10 + i)}, true))
 	}
 	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 7 })
-	close(sink.gate)
+	close(rec.gate)
 	waitAll(t, errcs...)
 
-	adds, subs, calls := sink.snapshot()
-	if len(adds) != 4 || len(subs) != 3 || calls != 3 {
-		t.Fatalf("adds=%v subs=%v in %d calls, want 4 adds and 3 subs in 3 calls", adds, subs, calls)
+	adds, subs, calls := rec.snapshot()
+	if len(adds) != 4 || len(subs) != 3 || calls != 2 {
+		t.Fatalf("adds=%v subs=%v in %d calls, want 4 adds and 3 subs in 2 calls", adds, subs, calls)
 	}
 	for _, v := range subs {
 		if v < 10 {
@@ -287,54 +332,106 @@ func TestSubSplitsFromAdds(t *testing.T) {
 	}
 }
 
-// sliceSink records AddBatches/SubBatches groups, proving the batcher
-// prefers the zero-copy SliceSink path when the sink offers it.
-type sliceSink struct {
-	*recSink
-	groups [][]int // lengths of the slices in each AddBatches call
-}
-
-func (s *sliceSink) AddBatches(batches [][]float64) {
-	var lens []int
-	for _, xs := range batches {
-		lens = append(lens, len(xs))
-		s.recSink.AddBatch(xs)
-	}
-	s.mu.Lock()
-	s.groups = append(s.groups, lens)
-	s.mu.Unlock()
-}
-
-func (s *sliceSink) SubBatches(batches [][]float64) {
-	for _, xs := range batches {
-		s.recSink.SubBatch(xs)
-	}
-}
-
 // TestSliceSinkZeroCopyPath checks that requests queued behind a held
-// flush arrive in the next flush as one AddBatches call carrying the
-// request slices unconcatenated.
+// flush arrive in the next flush as one Group carrying the request
+// slices unconcatenated, ready for one SliceSink.AddBatches call.
 func TestSliceSinkZeroCopyPath(t *testing.T) {
-	sink := &sliceSink{recSink: gatedSink()}
-	b := batch.New(sink, batch.Options{QueueLen: 16, MaxBatch: 64})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 16, MaxBatch: 64})
 	defer b.Close()
 
-	errcs := []<-chan error{holdFlush(b, sink.recSink, seq(0, 2))}
+	errcs := []<-chan error{holdFlush(b, rec, seq(0, 2))}
 	for i := 1; i <= 3; i++ {
 		errcs = append(errcs, submit(context.Background(), b, seq(10*i, 2), false))
 	}
 	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 4 })
-	close(sink.gate)
+	close(rec.gate)
 	waitAll(t, errcs...)
 
-	sink.mu.Lock()
-	groups := sink.groups
-	sink.mu.Unlock()
-	if len(groups) != 1 || !slices.Equal(groups[0], []int{2, 2, 2}) {
-		t.Fatalf("want one AddBatches group of three 2-value slices, got %v", groups)
+	rec.mu.Lock()
+	var lens []int
+	for _, xs := range rec.calls[1].Add {
+		lens = append(lens, len(xs))
+	}
+	rec.mu.Unlock()
+	if !slices.Equal(lens, []int{2, 2, 2}) {
+		t.Fatalf("want the second flush to carry three 2-value slices, got %v", lens)
 	}
 	if m := b.Metrics(); m.Flushes != 2 || m.DrainFlushes != 2 {
 		t.Fatalf("want the held flush plus one drain flush, got %+v", m)
+	}
+}
+
+// TestFourKindsShareOneFlush queues an add, a sub, a keyed add and a
+// keyed sub behind a held flush: all four must reach the flush function
+// in one call, each in its own list of the Group.
+func TestFourKindsShareOneFlush(t *testing.T) {
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 16, MaxBatch: 64})
+	defer b.Close()
+
+	ctx := context.Background()
+	errcs := []<-chan error{holdFlush(b, rec, []float64{1})}
+	errcs = append(errcs,
+		submit(ctx, b, []float64{2}, false),
+		submit(ctx, b, []float64{3}, true),
+		submitKeyed(ctx, b, "a", []float64{4}, false),
+		submitKeyed(ctx, b, "b", []float64{5}, true))
+	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 5 })
+	close(rec.gate)
+	waitAll(t, errcs...)
+
+	rec.mu.Lock()
+	calls := rec.calls
+	rec.mu.Unlock()
+	if len(calls) != 2 {
+		t.Fatalf("%d flush calls, want the held one plus one for all four kinds", len(calls))
+	}
+	g := calls[1]
+	want := batch.Group{
+		Add:      [][]float64{{2}},
+		Sub:      [][]float64{{3}},
+		AddKeyed: []keyed.Batch{{Key: "a", Values: []float64{4}}},
+		SubKeyed: []keyed.Batch{{Key: "b", Values: []float64{5}}},
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Fatalf("second flush got %+v, want %+v", g, want)
+	}
+	if m := b.Metrics(); m.KeyedFlushedRequests != 2 || m.FlushedRequests != 5 {
+		t.Fatalf("flush ledger %+v, want 5 requests of which 2 keyed", m)
+	}
+}
+
+// TestFlushErrorReachesEveryRequest: the error a flush function returns
+// is the reply of every request in its group, whatever their kind, and
+// the next group completes with nil.
+func TestFlushErrorReachesEveryRequest(t *testing.T) {
+	errCommit := errors.New("journal commit failed")
+	rec := gatedRecorder()
+	rec.errs = []error{nil, errCommit}
+	b := batch.New(rec.flush, batch.Options{QueueLen: 16, MaxBatch: 64})
+	defer b.Close()
+
+	ctx := context.Background()
+	held := holdFlush(b, rec, []float64{1})
+	failed := []<-chan error{
+		submit(ctx, b, []float64{2}, false),
+		submit(ctx, b, []float64{3}, true),
+		submitKeyed(ctx, b, "k", []float64{4}, false),
+	}
+	waitFor(t, "group to queue", func() bool { return b.Metrics().Enqueued == 4 })
+	close(rec.gate)
+	waitAll(t, held)
+	for i, errc := range failed {
+		if err := <-errc; !errors.Is(err, errCommit) {
+			t.Fatalf("request %d of the failed flush: got %v, want %v", i, err, errCommit)
+		}
+	}
+	if err := b.Add(ctx, []float64{5}); err != nil {
+		t.Fatalf("request after the failed flush: %v", err)
+	}
+	if m := b.Metrics(); m.Flushes != 3 || m.FlushedRequests != 5 || m.QueueDepth != 0 {
+		t.Fatalf("a failed flush must still be counted as flushed: %+v", m)
 	}
 }
 
@@ -344,10 +441,10 @@ func TestSliceSinkZeroCopyPath(t *testing.T) {
 // ErrClosed.
 func TestCloseDrainsEverythingAdmitted(t *testing.T) {
 	const reqs = 32
-	sink := gatedSink()
-	b := batch.New(sink, batch.Options{QueueLen: reqs - 1, MaxBatch: 1 << 20})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: reqs - 1, MaxBatch: 1 << 20})
 
-	errcs := []<-chan error{holdFlush(b, sink, seq(0, 1))}
+	errcs := []<-chan error{holdFlush(b, rec, seq(0, 1))}
 	for i := 1; i < reqs; i++ {
 		errcs = append(errcs, submit(context.Background(), b, seq(i, 1), false))
 	}
@@ -359,13 +456,13 @@ func TestCloseDrainsEverythingAdmitted(t *testing.T) {
 	waitFor(t, "Close to stop admission", func() bool {
 		return b.Add(context.Background(), []float64{1}) == batch.ErrClosed
 	})
-	close(sink.gate)
+	close(rec.gate)
 	<-closed
 	waitAll(t, errcs...)
 
-	adds, _, _ := sink.snapshot()
+	adds, _, _ := rec.snapshot()
 	if len(adds) != reqs {
-		t.Fatalf("sink saw %d values, want %d", len(adds), reqs)
+		t.Fatalf("flushes saw %d values, want %d", len(adds), reqs)
 	}
 	m := b.Metrics()
 	if m.DrainFlushes != m.Flushes || m.QueueDepth != 0 || m.FlushedRequests != reqs {
@@ -379,10 +476,10 @@ func TestCloseDrainsEverythingAdmitted(t *testing.T) {
 }
 
 // TestEmptyBatchIsNoOp: zero-length submissions complete immediately
-// without touching the queue or the sink.
+// without touching the queue or the flush function.
 func TestEmptyBatchIsNoOp(t *testing.T) {
-	sink := &recSink{}
-	b := batch.New(sink, batch.Options{})
+	rec := &recorder{}
+	b := batch.New(rec.flush, batch.Options{})
 	defer b.Close()
 	if err := b.Add(context.Background(), nil); err != nil {
 		t.Fatalf("empty Add: %v", err)
@@ -394,16 +491,18 @@ func TestEmptyBatchIsNoOp(t *testing.T) {
 
 // TestSubmitZeroAlloc asserts the steady-state request path — enqueue,
 // flush hand-off, reply — allocates nothing: items and their reply
-// channels recycle through a pool, and the single-request flush path
-// hands the caller's slice straight to the sink.
+// channels recycle through a pool, and each flusher reuses one Group.
 func TestSubmitZeroAlloc(t *testing.T) {
 	var total float64
-	sink := sinkFunc(func(xs []float64) {
-		for _, v := range xs {
-			total += v
+	flush := func(g *batch.Group) error {
+		for _, xs := range g.Add {
+			for _, v := range xs {
+				total += v
+			}
 		}
-	})
-	b := batch.New(sink, batch.Options{QueueLen: 8, MaxBatch: 1})
+		return nil
+	}
+	b := batch.New(flush, batch.Options{QueueLen: 8, MaxBatch: 1})
 	defer b.Close()
 	ctx := context.Background()
 	xs := []float64{1, 2, 3, 4}
@@ -426,12 +525,6 @@ func TestSubmitZeroAlloc(t *testing.T) {
 	_ = total
 }
 
-// sinkFunc adapts a function to Sink (adds only; subs are a test bug).
-type sinkFunc func(xs []float64)
-
-func (f sinkFunc) AddBatch(xs []float64) { f(xs) }
-func (f sinkFunc) SubBatch(xs []float64) { panic("unexpected SubBatch") }
-
 // TestMetricsInvariantsUnderLoad hammers the batcher from several
 // goroutines while a reader takes snapshots, asserting on every single
 // snapshot the invariants documented on Metrics. Under -race this is
@@ -442,7 +535,7 @@ func TestMetricsInvariantsUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batch.New(s, batch.Options{QueueLen: 8, MaxBatch: 64, Flushers: 2})
+	b := batch.New(applyTo(s), batch.Options{QueueLen: 8, MaxBatch: 64, Flushers: 2})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -508,7 +601,7 @@ func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batch.New(s, batch.Options{QueueLen: 4, MaxBatch: 32, Flushers: 2})
+	b := batch.New(applyTo(s), batch.Options{QueueLen: 4, MaxBatch: 32, Flushers: 2})
 
 	const workers, perWorker = 4, 200
 	accepted := make([][]float64, workers)
@@ -570,11 +663,11 @@ func TestConcurrentSnapshotsNeverDropOrDoubleCount(t *testing.T) {
 // request waits behind a held flush, so it is still queued when its
 // caller gives up.
 func TestContextAbandonStillApplies(t *testing.T) {
-	sink := gatedSink()
-	b := batch.New(sink, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
+	rec := gatedRecorder()
+	b := batch.New(rec.flush, batch.Options{QueueLen: 4, MaxBatch: 1 << 20})
 	defer b.Close()
 
-	held := holdFlush(b, sink, []float64{1})
+	held := holdFlush(b, rec, []float64{1})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := submit(ctx, b, []float64{42}, false)
 	waitFor(t, "admission", func() bool { return b.Metrics().Enqueued == 2 })
@@ -582,10 +675,10 @@ func TestContextAbandonStillApplies(t *testing.T) {
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("abandoned Add: got %v, want context.Canceled", err)
 	}
-	close(sink.gate)
+	close(rec.gate)
 	waitAll(t, held)
 	waitFor(t, "abandoned batch to flush", func() bool { return b.Metrics().FlushedRequests == 2 })
-	adds, _, _ := sink.snapshot()
+	adds, _, _ := rec.snapshot()
 	if len(adds) != 2 || adds[1] != 42 {
 		t.Fatalf("abandoned batch not applied exactly once: %v", adds)
 	}

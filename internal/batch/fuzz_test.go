@@ -75,7 +75,7 @@ func FuzzBatcherInterleave(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := batch.New(s, opt)
+		b := batch.New(applyTo(s), opt)
 		acceptedAdds := make([][]float64, workers)
 		acceptedSubs := make([][]float64, workers)
 		var wg sync.WaitGroup

@@ -22,7 +22,7 @@ func newKeyedStore(t *testing.T, parts int) *keyed.Store {
 	return s
 }
 
-// plainSink is a minimal Sink that records the global multiset.
+// plainSink records the global multiset.
 type plainSink struct {
 	mu   sync.Mutex
 	adds []float64
@@ -41,20 +41,29 @@ func (p *plainSink) SubBatch(xs []float64) {
 	p.mu.Unlock()
 }
 
-// dualSink combines the global Sink with a keyed store — the shape the
-// server's batcher sink takes.
+// dualSink combines the global sink with a keyed store; its flush is
+// the shape of the server's flush function, without the journal.
 type dualSink struct {
 	plainSink
 	store *keyed.Store
 }
 
-func (d *dualSink) AddKeyedBatches(bs []keyed.Batch) { d.store.AddKeyedBatches(bs) }
-func (d *dualSink) SubKeyedBatches(bs []keyed.Batch) { d.store.SubKeyedBatches(bs) }
+func (d *dualSink) flush(g *Group) error {
+	for _, xs := range g.Add {
+		d.AddBatch(xs)
+	}
+	for _, xs := range g.Sub {
+		d.SubBatch(xs)
+	}
+	d.store.AddKeyedBatches(g.AddKeyed)
+	d.store.SubKeyedBatches(g.SubKeyed)
+	return nil
+}
 
 func newDualBatcher(t *testing.T, parts int, opt Options) (*Batcher, *dualSink) {
 	t.Helper()
 	sink := &dualSink{store: newKeyedStore(t, parts)}
-	b := New(sink, opt)
+	b := New(sink.flush, opt)
 	t.Cleanup(b.Close)
 	return b, sink
 }
@@ -147,17 +156,6 @@ func TestKeyedAndUnkeyedShareFlushes(t *testing.T) {
 	negB := oracle.Sum(wantKeyB)
 	if got, _ := sink.store.Sum("b"); math.Float64bits(got) != math.Float64bits(-negB) {
 		t.Errorf("key b = %v, want %v", got, -negB)
-	}
-}
-
-func TestKeyedRequiresKeyedSink(t *testing.T) {
-	b := New(&plainSink{}, Options{})
-	defer b.Close()
-	if err := b.AddKeyed(context.Background(), "k", []float64{1}); err != ErrNoKeyedSink {
-		t.Errorf("AddKeyed on plain sink: err = %v, want ErrNoKeyedSink", err)
-	}
-	if err := b.SubKeyed(context.Background(), "k", []float64{1}); err != ErrNoKeyedSink {
-		t.Errorf("SubKeyed on plain sink: err = %v, want ErrNoKeyedSink", err)
 	}
 }
 

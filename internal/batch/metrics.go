@@ -26,16 +26,16 @@ type Metrics struct {
 	Rejected       int64 // requests refused because the queue was full
 	KeyedEnqueued  int64 // subset of Enqueued that carried a key
 
-	Flushes         int64 // sink flushes performed
+	Flushes         int64 // flush-function calls
 	FlushedRequests int64 // requests completed by a flush
-	FlushedValues   int64 // float64s handed to the sink
+	FlushedValues   int64 // float64s handed to the flush function
 	SizeFlushes     int64 // flushes that stopped at MaxBatch values
 	DrainFlushes    int64 // flushes that took everything queued (Close's included)
 
 	KeyedFlushedRequests int64 // subset of FlushedRequests that carried a key
 
 	QueueDepth int64 // requests admitted but not yet flushed
-	FlushNs    int64 // cumulative wall time inside sink calls
+	FlushNs    int64 // cumulative wall time inside flush-function calls
 
 	SizeHist    [len(SizeBuckets) + 1]int64    // flush sizes, per bucket
 	LatencyHist [len(LatencyBuckets) + 1]int64 // flush latencies, per bucket

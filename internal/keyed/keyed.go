@@ -359,6 +359,15 @@ func (s *Store) applyGrouped(bs []Batch, sub bool) {
 	if len(bs) == 0 {
 		return
 	}
+	if len(bs) == 1 {
+		// A group of one, as every sync write is, needs no bucketing.
+		if sub {
+			s.Sub(bs[0].Key, bs[0].Values)
+		} else {
+			s.Add(bs[0].Key, bs[0].Values)
+		}
+		return
+	}
 	for _, b := range bs {
 		checkKey(b.Key)
 	}

@@ -209,8 +209,12 @@ func TestGroupedBatchesMatchIndividualOps(t *testing.T) {
 			individual.Add(key, xs)
 		}
 	}
-	grouped.AddKeyedBatches(adds)
-	grouped.SubKeyedBatches(subs)
+	// The last add and the first sub arrive as groups of one, which
+	// skip the bucketing.
+	grouped.AddKeyedBatches(adds[:len(adds)-1])
+	grouped.AddKeyedBatches(adds[len(adds)-1:])
+	grouped.SubKeyedBatches(subs[:1])
+	grouped.SubKeyedBatches(subs[1:])
 	grouped.AddKeyedBatches(nil) // no-op
 
 	a, b := individual.Snapshot(), grouped.Snapshot()

@@ -269,6 +269,22 @@ func (g *gatedSink) AddBatch(xs []float64) {
 
 func (g *gatedSink) SubBatch(xs []float64) { g.real.SubBatch(xs) }
 
+func (g *gatedSink) AddBatches(bs [][]float64) {
+	for _, xs := range bs {
+		g.AddBatch(xs)
+	}
+}
+
+func (g *gatedSink) SubBatches(bs [][]float64) { g.real.(batch.SliceSink).SubBatches(bs) }
+
+func (g *gatedSink) AddKeyedBatches(bs []parsum.KeyedBatch) {
+	g.real.(batch.KeyedSink).AddKeyedBatches(bs)
+}
+
+func (g *gatedSink) SubKeyedBatches(bs []parsum.KeyedBatch) {
+	g.real.(batch.KeyedSink).SubKeyedBatches(bs)
+}
+
 // TestRejectedRequestLeavesServiceUntouched pins the 429 contract over
 // real HTTP, deterministically: a gated sink holds request A's flush
 // open, request B fills the single queue slot, so request C MUST be

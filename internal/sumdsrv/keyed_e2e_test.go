@@ -2,7 +2,8 @@
 // per-key bit-identity to parsum.Sum through both the sync and async
 // ingest paths, the keyed anti-entropy exchange (binary and JSON, both
 // push orders converging), key-range pulls, the rejection gauntlet
-// (400/404/409/501), and the keyed stats/metrics families.
+// (400/404/409), New's rejection of a WrapSink that hides the keyed
+// sink, and the keyed stats/metrics families.
 package sumdsrv_test
 
 import (
@@ -383,31 +384,59 @@ func TestKeyedE2ERejections(t *testing.T) {
 	}
 }
 
-// plainOnlySink forwards the global Sink surface and deliberately hides
-// KeyedSink — the WrapSink shape that must degrade async keyed
-// ingestion to 501 without breaking unkeyed traffic.
+// plainOnlySink forwards the global Sink surface only; keylessSink adds
+// SliceSink but hides KeyedSink. apply writes every group through
+// SliceSink and KeyedSink, so New must reject both shapes.
 type plainOnlySink struct{ real batch.Sink }
 
 func (p plainOnlySink) AddBatch(xs []float64) { p.real.AddBatch(xs) }
 func (p plainOnlySink) SubBatch(xs []float64) { p.real.SubBatch(xs) }
 
-func TestKeyedE2EAsync501WhenSinkHidesKeyed(t *testing.T) {
-	ctx := context.Background()
-	c, _ := startService(t, sumdsrv.Options{
-		Async: true, QueueLen: 8, MaxBatch: 8,
-		WrapSink: func(real batch.Sink) batch.Sink { return plainOnlySink{real: real} },
-	})
-	err := c.AddKeyed(ctx, "k", []float64{1})
-	if err == nil || !strings.Contains(err.Error(), "HTTP 501") {
-		t.Errorf("keyed add through keyless sink: err = %v, want HTTP 501", err)
+type keylessSink struct{ plainOnlySink }
+
+func (k keylessSink) AddBatches(bs [][]float64) { k.real.(batch.SliceSink).AddBatches(bs) }
+func (k keylessSink) SubBatches(bs [][]float64) { k.real.(batch.SliceSink).SubBatches(bs) }
+
+// TestWrapSinkMustKeepFullSurface: in both ingest modes, New rejects a
+// WrapSink result that lacks SliceSink or KeyedSink, and a full-surface
+// wrapper carries sync writes as well as async ones.
+func TestWrapSinkMustKeepFullSurface(t *testing.T) {
+	wraps := map[string]func(batch.Sink) batch.Sink{
+		"plain-only": func(real batch.Sink) batch.Sink { return plainOnlySink{real: real} },
+		"keyless":    func(real batch.Sink) batch.Sink { return keylessSink{plainOnlySink{real: real}} },
 	}
-	// Unkeyed ingestion through the same wrapped sink still works.
+	for name, wrap := range wraps {
+		for _, async := range []bool{false, true} {
+			srv, err := sumdsrv.New(sumdsrv.Options{Async: async, WrapSink: wrap})
+			if err == nil {
+				srv.Close()
+				t.Errorf("%s wrapper (async=%v): New accepted it", name, async)
+			} else if !strings.Contains(err.Error(), "WrapSink") {
+				t.Errorf("%s wrapper (async=%v): err = %v, want a WrapSink error", name, async, err)
+			}
+		}
+	}
+
+	gs := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
+	close(gs.gate)
+	c, _ := startService(t, sumdsrv.Options{
+		WrapSink: func(real batch.Sink) batch.Sink { gs.real = real; return gs },
+	})
+	ctx := context.Background()
 	if err := c.AddBatch(ctx, []float64{2.5}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gs.entered:
+	default:
+		t.Fatal("a sync write bypassed the wrapped sink")
+	}
+	if err := c.AddKeyed(ctx, "k", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Sum(ctx)
 	if err != nil || got != 2.5 {
-		t.Fatalf("unkeyed path broken by wrapped sink: %g err=%v", got, err)
+		t.Fatalf("sum through the wrapped sink: %g err=%v", got, err)
 	}
 }
 

@@ -88,9 +88,21 @@ func TestMaxBodyBytesConfigurable(t *testing.T) {
 	}
 }
 
+// TestMaxBodyBytesNegativeRejected: New rejects a negative size option
+// instead of reading it as "off" — the body cap and the dedup window
+// alike.
 func TestMaxBodyBytesNegativeRejected(t *testing.T) {
-	_, err := sumdsrv.New(sumdsrv.Options{MaxBodyBytes: -1})
-	if err == nil || !strings.Contains(err.Error(), "body cap") {
-		t.Fatalf("negative cap: got err %v, want body-cap error", err)
+	for _, tc := range []struct {
+		name string
+		opt  sumdsrv.Options
+		want string
+	}{
+		{"MaxBodyBytes", sumdsrv.Options{MaxBodyBytes: -1}, "body cap"},
+		{"DedupWindow", sumdsrv.Options{DedupWindow: -1}, "dedup window"},
+	} {
+		_, err := sumdsrv.New(tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("negative %s: got err %v, want a %s error", tc.name, err, tc.want)
+		}
 	}
 }

@@ -41,10 +41,12 @@
 // Batcher: a bounded queue whose flusher takes everything already queued
 // (up to Options.MaxBatch values) the moment it is free, so requests
 // that arrive during one flush's apply and journal commit form the next
-// group. The handler replies 200 only after the flush containing its
-// values has completed (group commit), so "accepted" still means
-// "applied": any sum requested after a 200 observes those values, and
-// the exactness guarantee is unchanged — batching only regroups
+// group. The flusher journals and applies the group through the same
+// function a sync write uses (see apply), with one commit per group, and
+// the handler answers with the flush's outcome: 200 once its values are
+// applied and committed, the sync path's 500 when they are applied but
+// the commit failed. So "accepted" still means "applied and durable",
+// and the exactness guarantee is unchanged — batching only regroups
 // additions inside a commutative group. When the queue is full the
 // request is rejected immediately with 429 and "Retry-After: 1",
 // accumulated state untouched, so ingest overload degrades to shed load
@@ -52,6 +54,7 @@
 package sumdsrv
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -96,8 +99,10 @@ type Options struct {
 	// server's engine.
 	KeyPartitions int
 	// Async routes /v1/add and /v1/sub through the batched ingestion
-	// front-end (see the package comment). Off by default: the sync
-	// path remains the escape hatch.
+	// front-end (see the package comment). Off by default. The batcher
+	// pays where every commit fsyncs (WALFsync "always"), because a
+	// flush commits its whole group once; elsewhere sync ingest is
+	// faster.
 	Async bool
 	// QueueLen, MaxBatch and Flushers configure the batcher when Async
 	// is set (0 means the internal/batch defaults: 256 requests, 4096
@@ -105,11 +110,11 @@ type Options struct {
 	QueueLen int
 	MaxBatch int
 	Flushers int
-	// WrapSink, when non-nil, wraps the accumulator before the batcher
-	// attaches to it. Test seam: e2e tests interpose a gated sink to
-	// hold a flush open and pin the full-queue 429 contract
-	// deterministically. Ignored in sync mode. When the wrapped sink does
-	// not implement batch.KeyedSink, async keyed ingestion answers 501.
+	// WrapSink, when non-nil, wraps the accumulator that raw batches
+	// are applied to, in sync and async mode alike. Test seam: e2e tests
+	// interpose a gated sink to hold a flush open and pin the full-queue
+	// 429 contract deterministically. The result must also implement
+	// batch.SliceSink and batch.KeyedSink; New rejects one that does not.
 	WrapSink func(batch.Sink) batch.Sink
 	// WALDir enables the write-ahead log: every state-mutating request
 	// is journaled to this directory and committed before it is
@@ -132,7 +137,7 @@ type Options struct {
 	// DedupWindow caps the idempotency window remembering the
 	// Idempotency-Key tokens of recently acknowledged partial pushes, so
 	// a client retrying a push whose response was lost cannot
-	// double-apply it. 0 means 1024 tokens; negative disables dedup.
+	// double-apply it. 0 means 1024 tokens; negative is rejected by New.
 	DedupWindow int
 }
 
@@ -232,6 +237,7 @@ func (c *counters) snapshot() counterSnap {
 type Server struct {
 	sh      *parsum.Sharded
 	keyed   *parsum.Keyed
+	sink    fullSink       // sh and keyed, as Options.WrapSink left them
 	bat     *batch.Batcher // nil in sync mode
 	start   time.Time
 	maxBody int64
@@ -246,9 +252,9 @@ type Server struct {
 	walFsync  wal.Policy
 	recovery  WALRecovery
 
-	// tokens is the idempotency-dedup window (non-nil even without a
-	// WAL: response-loss retries are a transport hazard, not a crash
-	// hazard).
+	// tokens is the idempotency-dedup window. It is never nil and is
+	// kept even without a WAL: response-loss retries are a transport
+	// hazard, not a crash hazard.
 	tokens *tokenWindow
 
 	st counters
@@ -261,9 +267,16 @@ func New(opt Options) (*Server, error) {
 	if opt.MaxBodyBytes < 0 {
 		return nil, fmt.Errorf("sumd: negative body cap %d", opt.MaxBodyBytes)
 	}
+	if opt.DedupWindow < 0 {
+		return nil, fmt.Errorf("sumd: negative dedup window %d", opt.DedupWindow)
+	}
 	maxBody := opt.MaxBodyBytes
 	if maxBody == 0 {
 		maxBody = MaxBodyBytes
+	}
+	dedup := opt.DedupWindow
+	if dedup == 0 {
+		dedup = 1024
 	}
 	sh, err := parsum.NewSharded(parsum.ShardedOptions{Engine: opt.Engine, Shards: opt.Shards})
 	if err != nil {
@@ -277,13 +290,15 @@ func New(opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{sh: sh, keyed: ks, start: time.Now(), maxBody: maxBody}
-	switch {
-	case opt.DedupWindow == 0:
-		s.tokens = newTokenWindow(1024)
-	case opt.DedupWindow > 0:
-		s.tokens = newTokenWindow(opt.DedupWindow)
+	var sink batch.Sink = dualSink{sh: sh, keyed: ks}
+	if opt.WrapSink != nil {
+		sink = opt.WrapSink(sink)
 	}
+	full, ok := sink.(fullSink)
+	if !ok {
+		return nil, fmt.Errorf("sumd: WrapSink returned %T, which lacks batch.SliceSink or batch.KeyedSink", sink)
+	}
+	s := &Server{sh: sh, keyed: ks, sink: full, start: time.Now(), maxBody: maxBody, tokens: newTokenWindow(dedup)}
 	if opt.WALDir != "" {
 		pol, err := wal.ParsePolicy(opt.WALFsync)
 		if err != nil {
@@ -304,27 +319,9 @@ func New(opt Options) (*Server, error) {
 		s.wal = wlog
 	}
 	if opt.Async {
-		// The batcher's sink pairs the global accumulator with the keyed
-		// store, so one queue and one group-commit flush serve both kinds
-		// of traffic.
-		var sink batch.Sink = dualSink{sh: sh, keyed: ks}
-		if opt.WrapSink != nil {
-			sink = opt.WrapSink(sink)
-		}
-		if s.wal != nil {
-			// Interpose the journal outermost so a flush group is durable
-			// before it is applied and acknowledged. The keyed-capable
-			// wrapper is chosen only when the wrapped sink itself is keyed
-			// capable, preserving the 501 contract for seams that hide it.
-			ws := walSink{s: s, inner: sink}
-			ws.slice, _ = sink.(batch.SliceSink)
-			if kd, ok := sink.(batch.KeyedSink); ok {
-				sink = walKeyedSink{walSink: ws, keyed: kd}
-			} else {
-				sink = ws
-			}
-		}
-		s.bat = batch.New(sink, batch.Options{
+		// One queue and one group-commit flush serve plain and keyed
+		// traffic alike.
+		s.bat = batch.New(s.apply, batch.Options{
 			QueueLen: opt.QueueLen,
 			MaxBatch: opt.MaxBatch,
 			Flushers: opt.Flushers,
@@ -366,7 +363,13 @@ var routes = func() *http.ServeMux {
 	return m
 }()
 
-// dualSink is the async sink: the global Sharded accumulator (Sink +
+// fullSink is the surface apply writes a group to.
+type fullSink interface {
+	batch.SliceSink
+	batch.KeyedSink
+}
+
+// dualSink is the server's sink: the global Sharded accumulator (Sink +
 // SliceSink) joined with the keyed store (KeyedSink).
 type dualSink struct {
 	sh    *parsum.Sharded
@@ -675,47 +678,24 @@ func checkKeyParam(w http.ResponseWriter, key string) bool {
 	return true
 }
 
-// ingest applies one decoded batch through the configured path: the
-// batcher in async mode (waiting for its flush — group commit), the
-// accumulator or keyed store directly otherwise. A non-empty key routes
-// to the keyed store. It reports whether the batch was acknowledged,
-// writing the shed-load or failure response itself when not.
+// groupPool recycles the sync path's groups of one, so a sync write pays
+// no allocation for its group.
+var groupPool = sync.Pool{New: func() any { return new(batch.Group) }}
+
+// ingest journals and applies one decoded batch through apply: as a
+// group of one in sync mode, or through the batcher in async mode,
+// waiting for its flush (group commit). A non-empty key routes to the
+// keyed store. It reports whether the batch was acknowledged, writing
+// the shed-load or failure response itself when not.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs []float64, sub bool) bool {
-	if s.bat == nil {
-		s.applyMu.RLock()
-		var jerr error
-		if s.wal != nil {
-			// Journal, then apply whether or not the commit succeeded: a
-			// failed commit leaves the frame in the log's pending buffer,
-			// and the next successful commit writes it, so the live state
-			// must already hold the batch that a restart will replay.
-			if key != "" {
-				s.wal.AppendKeyed(key, xs, sub)
-			} else {
-				s.wal.AppendBatch(xs, sub)
-			}
-			jerr = s.wal.Commit()
-		}
-		switch {
-		case key != "" && sub:
-			s.keyed.Sub(key, xs)
-		case key != "":
-			s.keyed.Add(key, xs)
-		case sub:
-			s.sh.SubBatch(xs)
-		default:
-			s.sh.AddBatch(xs)
-		}
-		s.applyMu.RUnlock()
-		if jerr != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("batch applied but journal commit failed: %w", jerr))
-			return false
-		}
-		s.noteMutations(1)
-		return true
-	}
 	var err error
 	switch {
+	case s.bat == nil:
+		g := groupPool.Get().(*batch.Group)
+		g.Put(key, xs, sub)
+		err = s.apply(g)
+		g.Reset()
+		groupPool.Put(g)
 	case key != "" && sub:
 		err = s.bat.SubKeyed(r.Context(), key, xs)
 	case key != "":
@@ -728,10 +708,6 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 	switch {
 	case err == nil:
 		return true
-	case errors.Is(err, batch.ErrNoKeyedSink):
-		// A WrapSink seam hid the keyed store from the batcher.
-		writeError(w, http.StatusNotImplemented, err)
-		return false
 	case errors.Is(err, batch.ErrQueueFull):
 		// Fail fast, state untouched: the client should back off and
 		// retry. The queue frees up as soon as the running flush
@@ -739,17 +715,16 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, key string, xs [
 		s.st.bump(&s.st.rejected)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
-		return false
-	case errors.Is(err, batch.ErrClosed):
+	case errors.Is(err, batch.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// Shutting down, or the client abandoned the request mid-wait:
+		// an admitted batch will still be flushed, but there is nobody
+		// to tell. 499-style situations get a plain 503.
 		writeError(w, http.StatusServiceUnavailable, err)
-		return false
 	default:
-		// The client abandoned the request mid-wait; the batch is
-		// admitted and will still be flushed, but there is nobody to
-		// tell. 499-style situations get a plain 503.
-		writeError(w, http.StatusServiceUnavailable, err)
-		return false
+		// apply's error: the batch is applied, its commit failed.
+		writeError(w, http.StatusInternalServerError, err)
 	}
+	return false
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
@@ -874,14 +849,13 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	s.applyMu.Lock()
 	s.sh.Reset()
 	s.keyed.Reset()
-	var jerr error
 	if s.wal != nil {
 		s.wal.AppendReset()
-		jerr = s.wal.Commit()
 	}
+	jerr := s.commit("reset applied")
 	s.applyMu.Unlock()
 	if jerr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("reset applied but journal commit failed: %w", jerr))
+		writeError(w, http.StatusInternalServerError, jerr)
 		return
 	}
 	s.noteMutations(1)

@@ -3,17 +3,18 @@ package sumdsrv
 // Durability wiring: the glue between the HTTP surface and internal/wal.
 //
 // Every state-mutating request is journaled and committed before its 200
-// is written, so "acknowledged" implies "recoverable". The two ingestion
-// paths meet the journal differently:
+// is written, so "acknowledged" implies "recoverable". Two orders meet
+// the journal:
 //
 //   - Raw value batches (/v1/add, /v1/sub) cannot fail validation once
-//     decoded, so the sync path journals first and applies second — and
-//     applies even when the commit fails, because the frame stays
-//     pending in the log and the next successful commit writes it; the
-//     request then gets a 500 saying the batch was applied. In async
-//     mode the walSink wrapper journals each flush group and commits
-//     once per flush — the batcher's group commit doubles as a group
-//     fsync.
+//     decoded, so apply journals them first and applies them second.
+//     apply is the only code that does: the batcher calls it once per
+//     flush group, and a sync write calls it with a group of one. A
+//     group appends every frame and commits once, so a flush is one
+//     fsync under "always". It applies even when the commit fails,
+//     because the frames stay pending in the log and the next
+//     successful commit writes them; every request of the group then
+//     gets a 500 saying the batch was applied.
 //   - Partial/envelope pushes validate inside the accumulator merge, so
 //     they apply first (keeping garbage out of the log) and journal the
 //     already-accepted blob second.
@@ -173,7 +174,7 @@ func (s *Server) reserveIdem(w http.ResponseWriter, tok string) (string, bool) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("idempotency token length %d exceeds limit %d", len(tok), maxIdemToken))
 		return "", false
 	}
-	if s.tokens != nil && !s.tokens.reserve(tok) {
+	if !s.tokens.reserve(tok) {
 		s.st.bump(&s.st.deduped)
 		writeJSON(w, http.StatusOK, mergedResponse{Merged: 0, Duplicate: true})
 		return "", false
@@ -183,23 +184,32 @@ func (s *Server) reserveIdem(w http.ResponseWriter, tok string) (string, bool) {
 
 // releaseIdem undoes a reservation after the push it covered failed.
 func (s *Server) releaseIdem(tok string) {
-	if tok != "" && s.tokens != nil {
+	if tok != "" {
 		s.tokens.release(tok)
 	}
 }
 
-// journalBlob appends one already-applied blob record and commits. The
-// caller holds applyMu (shared). A nil error means the record is durable
-// per the fsync policy.
-func (s *Server) journalBlob(t wal.Type, tok string, blob []byte) error {
+// commit commits the frames appended so far; without a WAL it does
+// nothing. what names the mutation, already applied, that a failed
+// commit's error reports. A nil error means the frames are durable per
+// the fsync policy.
+func (s *Server) commit(what string) error {
 	if s.wal == nil {
 		return nil
 	}
-	s.wal.AppendBlob(t, tok, blob)
 	if err := s.wal.Commit(); err != nil {
-		return fmt.Errorf("merged but journal commit failed: %w", err)
+		return fmt.Errorf("%s but journal commit failed: %w", what, err)
 	}
 	return nil
+}
+
+// journalBlob appends one already-applied blob record and commits. The
+// caller holds applyMu (shared).
+func (s *Server) journalBlob(t wal.Type, tok string, blob []byte) error {
+	if s.wal != nil {
+		s.wal.AppendBlob(t, tok, blob)
+	}
+	return s.commit("merged")
 }
 
 // noteMutations advances the snapshot trigger counter.
@@ -243,11 +253,7 @@ func (s *Server) captureState() (*wal.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &wal.Snapshot{Global: global, Keyed: keyedBlob}
-	if s.tokens != nil {
-		snap.Tokens = s.tokens.snapshot()
-	}
-	return snap, nil
+	return &wal.Snapshot{Global: global, Keyed: keyedBlob, Tokens: s.tokens.snapshot()}, nil
 }
 
 // applySnapshot and applyRecord are New's wal.Open replay hooks: the
@@ -267,9 +273,7 @@ func (s *Server) applySnapshot(snap *wal.Snapshot) error {
 			return fmt.Errorf("keyed state: %w", err)
 		}
 	}
-	if s.tokens != nil {
-		s.tokens.load(snap.Tokens)
-	}
+	s.tokens.load(snap.Tokens)
 	return nil
 }
 
@@ -327,7 +331,7 @@ func (s *Server) applyRecord(r wal.Record) error {
 }
 
 func (s *Server) reserveReplayed(tok string) {
-	if tok != "" && s.tokens != nil {
+	if tok != "" {
 		s.tokens.reserve(tok)
 	}
 }
@@ -342,99 +346,45 @@ func checkRecKey(key string) error {
 	return nil
 }
 
-// walSink interposes the journal between the batcher and the real sink.
-// Each flush group is journaled and committed in one Commit before it is
-// applied — group commit in the batcher is group commit in the journal —
-// and the whole journal+apply pair holds applyMu shared so snapshots cut
-// between flushes, never through one. A journal-commit failure here
-// cannot fail the flush (the batch API has no error path back to the
-// waiting requests); it is recorded on the journal's error ledger and
-// surfaces as sumd_wal_errors_total.
-type walSink struct {
-	s     *Server
-	inner batch.Sink
-	slice batch.SliceSink // non-nil when inner batches natively
-}
-
-func (ws walSink) AddBatch(xs []float64) {
-	ws.s.applyMu.RLock()
-	ws.s.wal.AppendBatch(xs, false)
-	_ = ws.s.wal.Commit()
-	ws.inner.AddBatch(xs)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(1)
-}
-
-func (ws walSink) SubBatch(xs []float64) {
-	ws.s.applyMu.RLock()
-	ws.s.wal.AppendBatch(xs, true)
-	_ = ws.s.wal.Commit()
-	ws.inner.SubBatch(xs)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(1)
-}
-
-func (ws walSink) AddBatches(batches [][]float64) {
-	ws.s.applyMu.RLock()
-	for _, xs := range batches {
-		ws.s.wal.AppendBatch(xs, false)
-	}
-	_ = ws.s.wal.Commit()
-	if ws.slice != nil {
-		ws.slice.AddBatches(batches)
-	} else {
-		for _, xs := range batches {
-			ws.inner.AddBatch(xs)
+// apply is the only code that journals and applies raw batches: the
+// batcher calls it once per flush group, and a sync write calls it with
+// a group of one. It appends a frame per request, commits once, and then
+// applies the group to the sink whether or not the commit succeeded —
+// a failed commit leaves the frames pending in the log, and the next
+// successful commit writes them, so the live state must already hold
+// what a restart will replay. Every request of the group is answered
+// with the returned error. The journal+apply pair holds applyMu shared,
+// so snapshots cut between groups, never through one.
+func (s *Server) apply(g *batch.Group) error {
+	s.applyMu.RLock()
+	if s.wal != nil {
+		for _, xs := range g.Add {
+			s.wal.AppendBatch(xs, false)
+		}
+		for _, xs := range g.Sub {
+			s.wal.AppendBatch(xs, true)
+		}
+		for _, b := range g.AddKeyed {
+			s.wal.AppendKeyed(b.Key, b.Values, false)
+		}
+		for _, b := range g.SubKeyed {
+			s.wal.AppendKeyed(b.Key, b.Values, true)
 		}
 	}
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-func (ws walSink) SubBatches(batches [][]float64) {
-	ws.s.applyMu.RLock()
-	for _, xs := range batches {
-		ws.s.wal.AppendBatch(xs, true)
+	err := s.commit("batch applied")
+	if len(g.Add) > 0 {
+		s.sink.AddBatches(g.Add)
 	}
-	_ = ws.s.wal.Commit()
-	if ws.slice != nil {
-		ws.slice.SubBatches(batches)
-	} else {
-		for _, xs := range batches {
-			ws.inner.SubBatch(xs)
-		}
+	if len(g.Sub) > 0 {
+		s.sink.SubBatches(g.Sub)
 	}
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-// walKeyedSink extends walSink with the keyed flush path. It exists as a
-// separate type so that wrapping a sink that does NOT implement the
-// keyed interface yields a wrapper that does not either — the batcher's
-// 501 contract for keyed-less sinks must survive the journal interposer.
-type walKeyedSink struct {
-	walSink
-	keyed batch.KeyedSink
-}
-
-func (ws walKeyedSink) AddKeyedBatches(batches []parsum.KeyedBatch) {
-	ws.s.applyMu.RLock()
-	for _, b := range batches {
-		ws.s.wal.AppendKeyed(b.Key, b.Values, false)
+	if len(g.AddKeyed) > 0 {
+		s.sink.AddKeyedBatches(g.AddKeyed)
 	}
-	_ = ws.s.wal.Commit()
-	ws.keyed.AddKeyedBatches(batches)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
-}
-
-func (ws walKeyedSink) SubKeyedBatches(batches []parsum.KeyedBatch) {
-	ws.s.applyMu.RLock()
-	for _, b := range batches {
-		ws.s.wal.AppendKeyed(b.Key, b.Values, true)
+	if len(g.SubKeyed) > 0 {
+		s.sink.SubKeyedBatches(g.SubKeyed)
 	}
-	_ = ws.s.wal.Commit()
-	ws.keyed.SubKeyedBatches(batches)
-	ws.s.applyMu.RUnlock()
-	ws.s.walSince.Add(int64(len(batches)))
+	s.applyMu.RUnlock()
+	s.noteMutations(int64(g.Len()))
+	return err
 }

@@ -1,8 +1,9 @@
 // End-to-end durability tests beyond the crash matrix: snapshot-and-
 // truncate cycles, journaled blob pushes (plain partials, binary keyed
 // envelopes, keyed JSON) replayed bit-exactly, idempotency tokens
-// surviving snapshots and restarts, and concurrent async ingest whose
-// whole acked multiset must come back after a restart.
+// surviving snapshots and restarts, concurrent async ingest whose
+// whole acked multiset must come back after a restart, and one journal
+// commit per async flush.
 package sumdsrv_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"parsum"
 	"parsum/internal/batch"
@@ -348,6 +350,71 @@ func TestWALAsyncConcurrentDurability(t *testing.T) {
 		}
 		if want := acc.Round(); math.Float64bits(kv) != math.Float64bits(want) {
 			t.Errorf("recovered key %q: %x, want %x", key, math.Float64bits(kv), math.Float64bits(want))
+		}
+	}
+}
+
+// TestAsyncFlushCommitsOnce: a flush journals its whole group with one
+// commit, whatever kinds of write it holds. A gated sink holds one flush
+// open while an add, a sub, a keyed add and a keyed sub queue behind
+// it; the flush that takes all four must advance the journal's commits
+// and, under fsync always, its fsyncs by exactly one.
+func TestAsyncFlushCommitsOnce(t *testing.T) {
+	gs := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
+	_, c, hs := startServer(t, sumdsrv.Options{
+		Async: true, WALDir: t.TempDir(), WALFsync: "always",
+		WrapSink: func(real batch.Sink) batch.Sink { gs.real = real; return gs },
+	})
+	ctx := context.Background()
+	results := make(chan error, 5)
+	go func() { results <- c.AddBatch(ctx, []float64{1}) }()
+	select {
+	case <-gs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first flush never reached the sink")
+	}
+	// The held flush committed before it reached the sink.
+	before := walStats(t, hs.URL)
+	go func() { results <- c.AddBatch(ctx, []float64{2}) }()
+	go func() { results <- c.SubBatch(ctx, []float64{3}) }()
+	go func() { results <- c.AddKeyed(ctx, "a", []float64{4}) }()
+	go func() { results <- c.SubKeyed(ctx, "b", []float64{5}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for fetchStats(t, hs.URL).Async.Enqueued < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("the four writes were never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gs.gate)
+	for i := 0; i < 5; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	after := walStats(t, hs.URL)
+	if d := after.Commits - before.Commits; d != 1 {
+		t.Errorf("the four-write flush committed %d times, want 1", d)
+	}
+	if d := after.Fsyncs - before.Fsyncs; d != 1 {
+		t.Errorf("the four-write flush fsynced %d times, want 1", d)
+	}
+	if d := after.Records - before.Records; d != 4 {
+		t.Errorf("the four-write flush journaled %d records, want 4", d)
+	}
+	if st := fetchStats(t, hs.URL).Async; st.Flushes != 2 {
+		t.Errorf("%d flushes, want the held one plus one for all four writes", st.Flushes)
+	}
+	for key, want := range map[string]float64{"": 0, "a": 4, "b": -5} {
+		var got float64
+		var err error
+		if key == "" {
+			got, err = c.Sum(ctx)
+		} else {
+			got, _, err = c.SumKey(ctx, key)
+		}
+		if err != nil || got != want {
+			t.Errorf("sum of %q = %v (err %v), want %v", key, got, err, want)
 		}
 	}
 }
