@@ -168,7 +168,10 @@ func widthOrDefault(w uint) uint {
 // regularized digit string before any digit could overflow int64. Each add
 // contributes at most R−1 < 2^w per digit on top of a regularized digit in
 // [−(R−1), R−1], so 2^(62−w) adds keep |digit| < 2^62 + 2^w < 2^63.
-func maxLazyAdds(w uint) int {
+// The budget and the counts it bounds are int64, not int: on a 32-bit
+// host an int would truncate it to 0 (or a negative) and every add would
+// regularize.
+func maxLazyAdds(w uint) int64 {
 	return 1 << (62 - w)
 }
 

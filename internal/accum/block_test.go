@@ -215,7 +215,7 @@ func TestLaneFastPathEngages(t *testing.T) {
 
 	d8 := NewFullWindow(8)
 	d8.AddSlice(wide)
-	if d8.nAdd != len(wide) {
+	if d8.nAdd != int64(len(wide)) {
 		t.Fatalf("non-canonical width charged %d lazy digit adds, want %d (scalar path)", d8.nAdd, len(wide))
 	}
 

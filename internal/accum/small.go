@@ -12,8 +12,8 @@ import "parsum/internal/fpnum"
 type Small struct {
 	dig    []int64
 	minIdx int
-	nAdd   int
-	maxAdd int
+	nAdd   int64
+	maxAdd int64
 	sp     special
 }
 

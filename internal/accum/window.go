@@ -39,8 +39,8 @@ type Window struct {
 	w      uint
 	base   int // digit index of win[0]; meaningful only when len(win) > 0
 	win    []int64
-	nAdd   int
-	maxAdd int
+	nAdd   int64
+	maxAdd int64
 	sp     special
 }
 

@@ -41,8 +41,13 @@ const splitFactor = 1<<27 + 1
 // Split decomposes a into hi + lo where each part has at most 26 significant
 // bits (Dekker/Veltkamp splitting), enabling exact multiplication on
 // hardware without FMA.
+//
+// Go may fuse x*y ± z into one fused multiply-add, which skips the rounding
+// of the product; this function and TwoProdDekker depend on that rounding,
+// so each product is wrapped in an explicit float64 conversion, which
+// forbids the fusion.
 func Split(a float64) (hi, lo float64) {
-	c := splitFactor * a
+	c := float64(splitFactor * a)
 	hi = c - (c - a)
 	lo = a - hi
 	return hi, lo
@@ -60,10 +65,10 @@ func TwoProd(a, b float64) (p, e float64) {
 // a·b = p+e computed with Veltkamp splitting only (no FMA). Exposed for
 // testing TwoProd against an independent implementation.
 func TwoProdDekker(a, b float64) (p, e float64) {
-	p = a * b
+	p = float64(a * b)
 	ahi, alo := Split(a)
 	bhi, blo := Split(b)
-	e = ((ahi*bhi - p) + ahi*blo + alo*bhi) + alo*blo
+	e = ((float64(ahi*bhi) - p) + float64(ahi*blo) + float64(alo*bhi)) + float64(alo*blo)
 	return p, e
 }
 

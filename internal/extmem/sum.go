@@ -130,8 +130,8 @@ func SortSum(m *Model, in *File[float64], w uint) (float64, error) {
 		started bool
 		carry   int64
 		mask    = int64(1)<<w - 1
-		adds    int
-		maxAdd  = 1 << (62 - w)
+		adds    int64
+		maxAdd  = int64(1) << (62 - w) // int64: an int budget is 0 on 32-bit hosts
 	)
 	emit := func() { // finalize win[0] and slide
 		v := win[0] + carry
