@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure and table of the evaluation (scaled
 // for `go test -bench`; cmd/sumbench runs the full-size versions — see
-// DESIGN.md §5 and EXPERIMENTS.md).
+// DESIGN.md §5).
 package parsum_test
 
 import (
@@ -228,7 +228,7 @@ func BenchmarkSequential(b *testing.B) {
 		{"pairwise", baseline.Pairwise},
 		{"iFastSum", func(v []float64) float64 { copy(scratch, v); return baseline.IFastSumInPlace(scratch) }},
 		{"dense-acc", core.Sum},
-		{"sparse-acc", core.SumSparse},
+		{"sparse-acc", func(v []float64) float64 { return core.SumEngine(core.EngineSparse, v) }},
 		{"small-acc", func(v []float64) float64 { s := accum.NewSmall(); s.AddSlice(v); return s.Round() }},
 	}
 	for _, m := range methods {

@@ -1,6 +1,5 @@
 // Command sumbench regenerates the paper's figures and the reproduction's
-// theory-validation tables (see DESIGN.md §5 for the experiment index and
-// EXPERIMENTS.md for a recorded reference run).
+// theory-validation tables (see DESIGN.md §5 for the experiment index).
 //
 // Usage:
 //

@@ -479,12 +479,9 @@ func TestLanePendingConsumers(t *testing.T) {
 	// MarshalBinary round-trips the pending value.
 	m := NewFullWindow(0)
 	m.AddSlice(xs)
-	blob, err := m.MarshalDense()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := m.MarshalKind(KindDense)
 	var back Window
-	if err := back.UnmarshalDense(blob); err != nil {
+	if err := back.UnmarshalKind(KindDense, blob); err != nil {
 		t.Fatal(err)
 	}
 	if gv, wv := back.Round(), want.Round(); math.Float64bits(gv) != math.Float64bits(wv) {

@@ -15,7 +15,7 @@ import (
 // Layout (little-endian varints):
 //
 //	magic   byte = 0xA5
-//	kind    byte ('S' sparse/window, 'D' dense, 'N' Neal small)
+//	kind    byte ('S' sparse/window, 'D' dense window, 'N' Neal small)
 //	version byte = 1
 //	width   byte (digit width W)
 //	flags   byte (bit 0 NaN, bit 1 +Inf, bit 2 −Inf, bit 3 extended counts)
@@ -219,21 +219,48 @@ func (s *Sparse) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalDense encodes a's value as the dense ('D') payload: the nonzero
-// digits of its full-range regularized form (see denseComponents), the
-// bytes the dense engine has always put on the wire. The window is
-// regularized as a side effect.
-func (a *Window) MarshalDense() ([]byte, error) {
-	idx, dig := a.denseComponents()
-	buf := appendHeader(nil, 'D', a.w, a.sp)
-	return appendComponents(buf, idx, dig), nil
+// Kinds of Window payload. Both carry the same σ-sized layout — the
+// nonzero digits of the regularized window — so a value encodes to the
+// same components under either; the kind byte records which engine wrote
+// the partial, and a decoder accepts only its own.
+const (
+	KindSparse byte = 'S'
+	KindDense  byte = 'D'
+)
+
+// MarshalKind encodes a's value as a payload of the given kind
+// (KindSparse or KindDense): the nonzero digits of the regularized
+// window, written straight from its digit string. Regularize leaves a
+// negative value's top collapsed to one −1 digit, so the payload is
+// σ-sized whatever the sign. The window is regularized as a side effect.
+func (a *Window) MarshalKind(kind byte) []byte {
+	a.Regularize()
+	n := 0
+	for _, v := range a.win {
+		if v != 0 {
+			n++
+		}
+	}
+	buf := appendHeader(nil, kind, a.w, a.sp)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i, v := range a.win {
+		if v != 0 {
+			buf = binary.AppendVarint(buf, int64(a.base+i))
+			buf = binary.AppendVarint(buf, v)
+		}
+	}
+	return buf
 }
 
-// UnmarshalDense decodes a dense ('D') payload into a, replacing its
-// contents. Components outside the double-precision digit range are
-// rejected, and the window covers only the decoded components' span.
-func (a *Window) UnmarshalDense(data []byte) error {
-	w, sp, rest, err := parseHeader(data, 'D')
+// UnmarshalKind decodes a payload of the given kind (KindSparse or
+// KindDense) into a, replacing its contents. The decoded index span is
+// bounded by digitBounds, so a malicious payload cannot force a large
+// window allocation. A negative value's top may arrive expanded, as the
+// run (R−1, …, R−1, −1) that dense payloads carried before they became
+// σ-sized; it is stored collapsed, so the window covers only the value's
+// own span.
+func (a *Window) UnmarshalKind(kind byte, data []byte) error {
+	w, sp, rest, err := parseHeader(data, kind)
 	if err != nil {
 		return err
 	}
@@ -241,55 +268,7 @@ func (a *Window) UnmarshalDense(data []byte) error {
 	if err != nil {
 		return err
 	}
-	a.setComponents(w, sp, idx, dig)
-	return nil
-}
-
-// denseComponents returns the nonzero digits of a's regularized form over
-// the whole digit range — the content of 'D' payloads. Regularize
-// leaves a negative value's top run collapsed to one −1 digit at index s;
-// over the whole range the same value is R−1 at every index from s up to
-// the top digit, and −1 at the top. The window is regularized as a side
-// effect.
-func (a *Window) denseComponents() (idx []int32, dig []int64) {
-	a.Regularize()
-	n := len(a.win)
-	neg := n > 0 && a.win[n-1] < 0
-	if neg {
-		n--
-	}
-	for i, v := range a.win[:n] {
-		if v != 0 {
-			idx = append(idx, int32(a.base+i))
-			dig = append(dig, v)
-		}
-	}
-	if neg {
-		_, maxIdx := digitBounds(a.w)
-		for i := a.base + n; i < maxIdx; i++ {
-			idx = append(idx, int32(i))
-			dig = append(dig, int64(1)<<a.w-1)
-		}
-		idx = append(idx, int32(maxIdx))
-		dig = append(dig, -1)
-	}
-	return idx, dig
-}
-
-// setComponents replaces a's contents with validated components. A run
-// (R−1, …, R−1, −1) at the top — a negative value in full-range form —
-// is stored collapsed to one −1 digit, as Regularize leaves it, so the
-// window covers only the value's own span.
-func (a *Window) setComponents(w uint, sp special, idx []int32, dig []int64) {
-	if n := len(dig); n > 0 && dig[n-1] == -1 {
-		mask := int64(1)<<w - 1
-		s := n - 1
-		for s > 0 && dig[s-1] == mask && idx[s-1] == idx[s]-1 {
-			s--
-		}
-		idx, dig = idx[:s+1], dig[:s+1]
-		dig[s] = -1
-	}
+	idx, dig = collapseTop(w, idx, dig)
 	a.w, a.sp, a.maxAdd, a.nAdd = w, sp, maxLazyAdds(w), 1
 	a.win, a.base = nil, 0
 	if len(idx) > 0 {
@@ -300,35 +279,42 @@ func (a *Window) setComponents(w uint, sp special, idx []int32, dig []int64) {
 			a.win[int(ix)-lo] = dig[k]
 		}
 	}
-}
-
-// MarshalBinary encodes a's value as the sparse-component ('S') payload —
-// a Window is a sparse superaccumulator with contiguous storage, so the two
-// share a wire kind and decode into each other. The window is regularized
-// as a side effect. It implements encoding.BinaryMarshaler.
-func (a *Window) MarshalBinary() ([]byte, error) {
-	return a.ToSparse().MarshalBinary()
-}
-
-// UnmarshalBinary decodes a sparse-component payload into a, replacing its
-// contents. The decoded index span is bounded by digitBounds, so a
-// malicious payload cannot force a large window allocation. It implements
-// encoding.BinaryUnmarshaler.
-func (a *Window) UnmarshalBinary(data []byte) error {
-	w, sp, rest, err := parseHeader(data, 'S')
-	if err != nil {
-		return err
-	}
-	idx, dig, err := parseComponents(rest, w)
-	if err != nil {
-		return err
-	}
-	a.setComponents(w, sp, idx, dig)
 	return nil
 }
 
-// MarshalBinary encodes s compactly (nonzero chunks only, kind 'N'). The
-// accumulator's carries are propagated as a side effect. It implements
+// MarshalBinary encodes a's value as a sparse ('S') payload — a Window is
+// a sparse superaccumulator with contiguous storage, so the two share a
+// wire kind and decode into each other. It implements
+// encoding.BinaryMarshaler.
+func (a *Window) MarshalBinary() ([]byte, error) { return a.MarshalKind(KindSparse), nil }
+
+// UnmarshalBinary decodes a sparse ('S') payload into a. It implements
+// encoding.BinaryUnmarshaler.
+func (a *Window) UnmarshalBinary(data []byte) error { return a.UnmarshalKind(KindSparse, data) }
+
+// collapseTop rewrites a top run (R−1, …, R−1, −1) of consecutive
+// components — a negative value's top, as carry propagation over the
+// whole digit range leaves it — to one −1 at the run's start
+// (−R^t + Σ_{j=s}^{t−1} (R−1)·R^j = −R^s), and returns the shortened
+// lists. dig is modified in place.
+func collapseTop(w uint, idx []int32, dig []int64) ([]int32, []int64) {
+	n := len(dig)
+	if n == 0 || dig[n-1] != -1 {
+		return idx, dig
+	}
+	mask := int64(1)<<w - 1
+	s := n - 1
+	for s > 0 && dig[s-1] == mask && idx[s-1] == idx[s]-1 {
+		s--
+	}
+	dig[s] = -1
+	return idx[:s+1], dig[:s+1]
+}
+
+// MarshalBinary encodes s compactly (nonzero chunks only, kind 'N'), with
+// a negative value's top run collapsed to one −1 chunk as in the window
+// payloads, so a partial is σ-sized whatever its sign. The accumulator's
+// carries are propagated as a side effect. It implements
 // encoding.BinaryMarshaler.
 func (s *Small) MarshalBinary() ([]byte, error) {
 	s.Propagate()
@@ -340,12 +326,15 @@ func (s *Small) MarshalBinary() ([]byte, error) {
 			dig = append(dig, v)
 		}
 	}
+	idx, dig = collapseTop(smallWidth, idx, dig)
 	buf := appendHeader(nil, 'N', smallWidth, s.sp)
 	return appendComponents(buf, idx, dig), nil
 }
 
-// UnmarshalBinary decodes into s, replacing its contents. It implements
-// encoding.BinaryUnmarshaler.
+// UnmarshalBinary decodes into s, replacing its contents. It accepts a
+// negative value's top collapsed or expanded, as partials written before
+// the collapse carry it; the next Propagate normalizes either. It
+// implements encoding.BinaryUnmarshaler.
 func (s *Small) UnmarshalBinary(data []byte) error {
 	w, sp, rest, err := parseHeader(data, 'N')
 	if err != nil {

@@ -1,10 +1,12 @@
 package accum
 
 import (
+	"bytes"
 	"encoding"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,12 +53,9 @@ func TestDenseCodecRoundTrip(t *testing.T) {
 		xs := randValues(r, 1+r.Intn(60), true)
 		d := NewFullWindow(w)
 		d.AddSlice(xs)
-		data, err := d.MarshalDense()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := d.MarshalKind(KindDense)
 		var back Window
-		if err := back.UnmarshalDense(data); err != nil {
+		if err := back.UnmarshalKind(KindDense, data); err != nil {
 			t.Fatal(err)
 		}
 		want := oracle.Sum(xs)
@@ -132,12 +131,9 @@ func TestCodecSpecialMultiplicities(t *testing.T) {
 	// which must cancel a NaN on the receiving side after a round trip.
 	d := NewFullWindow(0)
 	d.Sub(math.NaN())
-	data, err = d.MarshalDense()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data = d.MarshalKind(KindDense)
 	var dback Window
-	if err := dback.UnmarshalDense(data); err != nil {
+	if err := dback.UnmarshalKind(KindDense, data); err != nil {
 		t.Fatal(err)
 	}
 	dback.Add(2.5)
@@ -198,7 +194,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 	// Kind confusion: a sparse blob must not decode as dense.
 	var dd Window
-	if err := dd.UnmarshalDense(data); err == nil {
+	if err := dd.UnmarshalKind(KindDense, data); err == nil {
 		t.Fatal("sparse decoded as dense")
 	}
 }
@@ -208,7 +204,7 @@ func TestCodecQuickNeverPanics(t *testing.T) {
 		var s Sparse
 		_ = s.UnmarshalBinary(data) // must not panic; error is fine
 		var d Window
-		_ = d.UnmarshalDense(data)
+		_ = d.UnmarshalKind(KindDense, data)
 		var w Window
 		_ = w.UnmarshalBinary(data)
 		var sm Small
@@ -314,6 +310,74 @@ func TestWindowSparseShareWireKind(t *testing.T) {
 	}
 }
 
+// TestNegativeTopCollapsed: every kind ships a negative value's top as one
+// −1 component, so 'S', 'D' and 'N' payloads of one value are the same
+// bytes apart from the kind byte. The expanded form — the run
+// (R−1, …, R−1, −1) reaching the top of the digit range, which 'D' and
+// 'N' payloads carried before — still decodes to the same value and
+// re-encodes collapsed.
+func TestNegativeTopCollapsed(t *testing.T) {
+	_, top := digitBounds(DefaultWidth)
+	mask := int64(1)<<DefaultWidth - 1
+	for _, x := range []float64{-1, -3.5, -1e-300, -1e300, -math.MaxFloat64, -5e-324} {
+		w := NewWindow(0)
+		w.Add(x)
+		sparse, dense := w.MarshalKind(KindSparse), w.MarshalKind(KindDense)
+		s := NewSmall()
+		s.Add(x)
+		small, _ := s.MarshalBinary()
+		for kind, b := range map[byte][]byte{'D': dense, 'N': small} {
+			if b[1] != kind || !bytes.Equal(b[2:], sparse[2:]) || b[0] != sparse[0] {
+				t.Errorf("%g: kind %q payload\n  % x\nis not the 'S' payload\n  % x\napart from its kind byte", x, kind, b, sparse)
+			}
+		}
+
+		var idx []int32
+		var dig []int64
+		win, base := w.Digits()
+		for i, v := range win {
+			if v != 0 {
+				idx, dig = append(idx, int32(base+i)), append(dig, v)
+			}
+		}
+		last := len(idx) - 1
+		if dig[last] != -1 {
+			t.Fatalf("%g: regularized top digit %d, want -1", x, dig[last])
+		}
+		for i := int(idx[last]); i < top; i++ {
+			idx[last], dig[last] = int32(i), mask
+			idx, dig = append(idx, 0), append(dig, 0)
+			last++
+		}
+		idx[last], dig[last] = int32(top), -1
+
+		var wd Window
+		if err := wd.UnmarshalKind(KindDense, appendComponents(appendHeader(nil, KindDense, DefaultWidth, special{}), idx, dig)); err != nil {
+			t.Fatalf("%g: expanded 'D': %v", x, err)
+		}
+		var sd Small
+		if err := sd.UnmarshalBinary(appendComponents(appendHeader(nil, 'N', smallWidth, special{}), idx, dig)); err != nil {
+			t.Fatalf("%g: expanded 'N': %v", x, err)
+		}
+		if wd.Round() != x || sd.Round() != x {
+			t.Errorf("expanded %g decodes to 'D' %g, 'N' %g", x, wd.Round(), sd.Round())
+		}
+		var wc Window
+		if err := wc.UnmarshalKind(KindDense, dense); err != nil {
+			t.Fatal(err)
+		}
+		if gd, gb := wd.Digits(); !slices.Equal(gd, wc.win) || gb != wc.base {
+			t.Errorf("%g: expanded 'D' decodes to digits %v at %d, collapsed to %v at %d", x, gd, gb, wc.win, wc.base)
+		}
+		if again := wd.MarshalKind(KindDense); !bytes.Equal(again, dense) {
+			t.Errorf("%g: expanded 'D' re-encodes to\n  % x\nwant\n  % x", x, again, dense)
+		}
+		if again, _ := sd.MarshalBinary(); !bytes.Equal(again, small) {
+			t.Errorf("%g: expanded 'N' re-encodes to\n  % x\nwant\n  % x", x, again, small)
+		}
+	}
+}
+
 // TestCodecMalformedPayloads is the table of crafted payloads the decoder
 // must reject with an error (never a panic, never a giant allocation):
 // the bug class a networked merge service turns security-relevant.
@@ -358,7 +422,7 @@ func TestCodecMalformedPayloads(t *testing.T) {
 			var s Sparse
 			if tc.name == "sparse-as-dense-kind-confusion" {
 				var d Window
-				if err := d.UnmarshalDense(tc.data); err == nil {
+				if err := d.UnmarshalKind(KindDense, tc.data); err == nil {
 					t.Fatal("kind confusion accepted")
 				}
 				return
@@ -369,7 +433,7 @@ func TestCodecMalformedPayloads(t *testing.T) {
 				s.UnmarshalBinary(tc.data),
 				w.UnmarshalBinary(tc.data),
 				sm.UnmarshalBinary(tc.data),
-				d.UnmarshalDense(tc.data),
+				d.UnmarshalKind(KindDense, tc.data),
 			}
 			for i, err := range errs {
 				if err == nil {

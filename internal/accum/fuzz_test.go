@@ -40,9 +40,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		d := NewFullWindow(w)
 		d.AddSlice(xs)
-		if data, err := d.MarshalDense(); err == nil {
-			f.Add(data)
-		}
+		f.Add(d.MarshalKind(KindDense))
 	}
 	seed(nil, 32)
 	seed([]float64{1e100, 1, -1e100}, 32)
@@ -75,7 +73,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 		var d Window
-		_ = d.UnmarshalDense(data)
+		_ = d.UnmarshalKind(KindDense, data)
 		var w Window
 		_ = w.UnmarshalBinary(data)
 		var sm Small
@@ -124,9 +122,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		dd := NewFullWindow(width)
 		dd.AddSlice(xs)
-		check("dense", dd.MarshalDense, func(b []byte) (float64, error) {
+		check("dense", func() ([]byte, error) { return dd.MarshalKind(KindDense), nil }, func(b []byte) (float64, error) {
 			var d2 Window
-			if err := d2.UnmarshalDense(b); err != nil {
+			if err := d2.UnmarshalKind(KindDense, b); err != nil {
 				return 0, err
 			}
 			return d2.Round(), nil

@@ -19,7 +19,7 @@ import (
 // MapReduce combiner cheap when δ is small. NewFullWindow pre-sizes one
 // to the whole range, for pooled accumulators that must never regrow.
 // Both the dense and the sparse engine run on it; they differ only in
-// their wire form ('D' via MarshalDense, 'S' via MarshalBinary).
+// the kind byte of their wire partials (MarshalKind).
 //
 // Additions of raw float64 values are applied lazily: digits may drift
 // outside [−α, β] for up to maxLazyAdds(W) additions before a

@@ -1,7 +1,7 @@
 // Package bench regenerates the paper's figures and this reproduction's
 // theory-validation tables as data series (see DESIGN.md §5 for the
 // experiment index). Each function returns Tables; cmd/sumbench formats
-// them for the terminal and EXPERIMENTS.md records a reference run.
+// them for the terminal.
 package bench
 
 import (
@@ -91,7 +91,8 @@ type Config struct {
 	Verify    bool // cross-check algorithm outputs against each other
 }
 
-// Defaults returns the configuration used by EXPERIMENTS.md.
+// Defaults returns the full-size configuration of the experiments indexed
+// in DESIGN.md §5.
 func Defaults() Config {
 	return Config{Workers: 32, SplitSize: 1 << 20, Seed: 1, Verify: true}
 }

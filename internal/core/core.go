@@ -2,9 +2,9 @@
 // superaccumulator representations in internal/accum, and registers each
 // of them as a pluggable engine (see internal/engine):
 //
-//   - Sum / SumSparse: sequential exact summation (convert, accumulate
-//     exactly, round once) — the paper's Section 3 sequential building
-//     block, used by the MapReduce combiners.
+//   - Sum: sequential exact summation (convert, accumulate exactly, round
+//     once) — the paper's Section 3 sequential building block, and the
+//     one-shot sum of the dense and sparse engines.
 //   - SumParallel: the shared-memory parallel summation tree. Chunks of the
 //     input are pulled off a shared cursor by a pool of goroutines,
 //     accumulated exactly into pooled superaccumulators, and the partials
@@ -20,7 +20,6 @@ package core
 import (
 	"runtime"
 
-	"parsum/internal/accum"
 	"parsum/internal/engine"
 )
 
@@ -28,7 +27,7 @@ import (
 // is ready to use.
 type Options struct {
 	// Width is the superaccumulator digit width W (radix 2^W); 0 means
-	// accum.DefaultWidth. It applies to the built-in dense/sparse engines;
+	// accum.DefaultWidth. It applies to the built-in dense/sparse engine;
 	// other engines use their own representations.
 	Width uint
 	// Workers is the number of concurrent goroutines; 0 means GOMAXPROCS.
@@ -36,16 +35,11 @@ type Options struct {
 	// ChunkSize is the number of elements accumulated per leaf task;
 	// 0 auto-tunes from the input length and worker count (see AutoChunk).
 	ChunkSize int
-	// UseSparse selects window/sparse accumulators for the leaves instead
-	// of dense ones (trades fixed footprint for σ(n)-proportional state).
-	// It is shorthand for Engine == EngineSparse and is ignored when
-	// Engine is set.
-	UseSparse bool
 	// Engine selects a registered summation engine by name; "" means
-	// EngineDense (or EngineSparse when UseSparse is set). Unknown names
-	// panic with the list of registered engines. Engines that are not
-	// streaming or whose merges are not deterministic fall back to their
-	// sequential one-shot Sum under SumParallel.
+	// EngineDense. Unknown names panic with the list of registered
+	// engines. Engines that are not streaming or whose merges are not
+	// deterministic fall back to their sequential one-shot Sum under
+	// SumParallel.
 	Engine string
 }
 
@@ -65,33 +59,15 @@ func (o Options) chunkFor(n, p int) int {
 	return AutoChunk(n, p)
 }
 
-// engineName resolves which registered engine the options select.
-func (o Options) engineName() string {
-	if o.Engine != "" {
-		return o.Engine
-	}
-	if o.UseSparse {
-		return EngineSparse
-	}
-	return EngineDense
-}
-
 // Sum returns the correctly rounded (hence faithfully rounded) sum of xs,
-// computed exactly with a dense superaccumulator.
+// computed exactly in a pooled full-range window. It is the one-shot sum
+// of both the dense and the sparse engine.
 func Sum(xs []float64) float64 {
 	d := getDense(0)
 	d.AddSlice(xs)
 	v := d.Round()
 	putDense(d)
 	return v
-}
-
-// SumSparse returns the correctly rounded sum of xs computed exactly with a
-// sparse (active-window) superaccumulator.
-func SumSparse(xs []float64) float64 {
-	w := accum.NewWindow(0)
-	w.AddSlice(xs)
-	return w.Round()
 }
 
 // SumEngine returns the one-shot sum of xs by the named registered engine
@@ -111,12 +87,12 @@ func SumEngine(name string, xs []float64) float64 {
 // is exact; engines without streaming deterministic merges are computed
 // sequentially with their one-shot Sum.
 func SumParallel(xs []float64, opt Options) float64 {
-	name := opt.engineName()
+	name := opt.Engine
 	p := opt.workers()
 	chunk := opt.chunkFor(len(xs), p)
 	sequential := p <= 1 || len(xs) <= chunk
 	switch name {
-	case EngineDense:
+	case "", EngineDense, EngineSparse:
 		if sequential {
 			d := getDense(opt.Width)
 			d.AddSlice(xs)
@@ -125,13 +101,6 @@ func SumParallel(xs []float64, opt Options) float64 {
 			return v
 		}
 		return parallelDense(xs, p, chunk, opt.Width)
-	case EngineSparse:
-		if sequential {
-			a := accum.NewWindow(opt.Width)
-			a.AddSlice(xs)
-			return a.Round()
-		}
-		return parallelSparse(xs, p, chunk, opt.Width)
 	}
 	e := engine.MustGet(name)
 	caps := e.Caps()

@@ -23,8 +23,8 @@ func TestSumMatchesOracleOnDistributions(t *testing.T) {
 			if got := Sum(xs); got != want {
 				t.Fatalf("%v δ=%d: Sum=%g oracle=%g", d, delta, got, want)
 			}
-			if got := SumSparse(xs); got != want {
-				t.Fatalf("%v δ=%d: SumSparse=%g oracle=%g", d, delta, got, want)
+			if got := SumEngine(EngineSparse, xs); got != want {
+				t.Fatalf("%v δ=%d: sparse engine Sum=%g oracle=%g", d, delta, got, want)
 			}
 		}
 	}
@@ -34,10 +34,10 @@ func TestSumParallelDeterministicAcrossWorkers(t *testing.T) {
 	xs := genData(gen.Random, 200000, 1500, 17)
 	want := Sum(xs)
 	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-		for _, sparse := range []bool{false, true} {
-			opt := Options{Workers: workers, ChunkSize: 1024, UseSparse: sparse}
+		for _, name := range []string{EngineDense, EngineSparse} {
+			opt := Options{Workers: workers, ChunkSize: 1024, Engine: name}
 			if got := SumParallel(xs, opt); got != want {
-				t.Fatalf("workers=%d sparse=%v: %g != %g", workers, sparse, got, want)
+				t.Fatalf("workers=%d engine=%s: %g != %g", workers, name, got, want)
 			}
 		}
 	}
@@ -52,7 +52,7 @@ func TestSumParallelMatchesOracle(t *testing.T) {
 			xs[i] = math.Ldexp(r.Float64()*2-1, r.Intn(1600)-800)
 		}
 		want := oracle.Sum(xs)
-		opt := Options{Workers: 1 + r.Intn(8), ChunkSize: 64 + r.Intn(512), UseSparse: r.Intn(2) == 0}
+		opt := Options{Workers: 1 + r.Intn(8), ChunkSize: 64 + r.Intn(512), Engine: [...]string{EngineSparse, EngineDense}[r.Intn(2)]}
 		if got := SumParallel(xs, opt); got != want {
 			t.Fatalf("trial %d: parallel=%g oracle=%g", trial, got, want)
 		}
@@ -60,7 +60,7 @@ func TestSumParallelMatchesOracle(t *testing.T) {
 }
 
 func TestSumEmptyAndTiny(t *testing.T) {
-	if Sum(nil) != 0 || SumSparse(nil) != 0 || SumParallel(nil, Options{}) != 0 {
+	if Sum(nil) != 0 || SumEngine(EngineSparse, nil) != 0 || SumParallel(nil, Options{}) != 0 {
 		t.Fatal("empty sum must be +0")
 	}
 	if Sum([]float64{3.5}) != 3.5 {

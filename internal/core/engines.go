@@ -8,8 +8,10 @@ import (
 )
 
 // Registry names of the engines this package provides. EngineDense and
-// EngineSparse have specialized parallel hot paths (pooled accumulators,
-// Lemma 1 tree merge); the others run through the generic engine path.
+// EngineSparse are two names for one engine — the same accumulator, the
+// same one-shot Sum and the same parallel hot path (pooled accumulators,
+// Lemma 1 tree merge) — whose partials differ only in their kind byte;
+// the others run through the generic engine path.
 const (
 	EngineDense     = "dense"
 	EngineSparse    = "sparse"
@@ -29,13 +31,13 @@ func init() {
 		Invertible: true,
 	}
 	engine.Register(engine.New(EngineDense,
-		"(α,β)-regularized superaccumulator with carry-free Lemma 1 merges; full-range wire form",
+		"(α,β)-regularized superaccumulator with carry-free Lemma 1 merges and σ(n)-sized partials",
 		exactParallel, Sum,
-		func() engine.Accumulator { return &windowAcc{w: accum.NewWindow(0), dense: true} }))
+		func() engine.Accumulator { return &windowAcc{w: accum.NewWindow(0), kind: accum.KindDense} }))
 	engine.Register(engine.New(EngineSparse,
-		"active-window sparse superaccumulator (σ(n)-proportional state, carry-free merges)",
-		exactParallel, SumSparse,
-		func() engine.Accumulator { return &windowAcc{w: accum.NewWindow(0)} }))
+		"second name of dense: the same window, sums and σ(n)-sized partials, tagged 'S' on the wire",
+		exactParallel, Sum,
+		func() engine.Accumulator { return &windowAcc{w: accum.NewWindow(0), kind: accum.KindSparse} }))
 	engine.Register(engine.New(EngineSmall,
 		"Neal-style small superaccumulator (carry-propagating merge baseline)",
 		exactParallel,
@@ -55,12 +57,11 @@ func init() {
 
 // windowAcc adapts accum.Window to the engine.Accumulator interface. The
 // dense and sparse engines share it: both keep only the digits their data
-// reaches, and differ only in the wire form of their partials — the
-// dense engine's ('D') spans the whole digit range, the sparse engine's
-// ('S') only the active components.
+// reaches and ship only the active components, and differ only in the
+// kind byte of their partials ('D' or 'S'), which each decoder checks.
 type windowAcc struct {
-	w     *accum.Window
-	dense bool
+	w    *accum.Window
+	kind byte
 }
 
 func (a *windowAcc) Add(x float64)              { a.w.Add(x) }
@@ -75,32 +76,23 @@ func (a *windowAcc) SubAccumulator(o engine.Accumulator) { a.w.AddNeg(o.(*window
 func (a *windowAcc) Round() float64                      { return a.w.Round() }
 func (a *windowAcc) Round32() float32                    { return a.w.Round32() }
 func (a *windowAcc) Reset()                              { a.w.Reset() }
-func (a *windowAcc) Clone() engine.Accumulator           { return &windowAcc{w: a.w.Clone(), dense: a.dense} }
+func (a *windowAcc) Clone() engine.Accumulator           { return &windowAcc{w: a.w.Clone(), kind: a.kind} }
 func (a *windowAcc) Sigma() int                          { return a.w.ToSparse().Len() }
 
 // MarshalBinary implements the wire-partial codec of the dense and sparse
 // engines.
-func (a *windowAcc) MarshalBinary() ([]byte, error) {
-	if a.dense {
-		return a.w.MarshalDense()
-	}
-	return a.w.MarshalBinary()
-}
+func (a *windowAcc) MarshalBinary() ([]byte, error) { return a.w.MarshalKind(a.kind), nil }
 
 // UnmarshalBinary decodes a wire partial, enforcing the engine's canonical
 // digit width: both engines always run at accum.DefaultWidth, and a
 // partial of any other width could not merge with local accumulators.
 func (a *windowAcc) UnmarshalBinary(data []byte) error {
 	var w accum.Window
-	decode, name := w.UnmarshalBinary, EngineSparse
-	if a.dense {
-		decode, name = w.UnmarshalDense, EngineDense
-	}
-	if err := decode(data); err != nil {
+	if err := w.UnmarshalKind(a.kind, data); err != nil {
 		return err
 	}
 	if w.Width() != a.w.Width() {
-		return fmt.Errorf("engine %q: partial has digit width %d, engine runs at %d", name, w.Width(), a.w.Width())
+		return fmt.Errorf("partial has digit width %d, engine runs at %d", w.Width(), a.w.Width())
 	}
 	*a.w = w
 	return nil

@@ -120,7 +120,8 @@ func MergeTree[T any](parts []T, merge func(dst, src T) T) T {
 	return parts[0]
 }
 
-// parallelDense fans chunk accumulation out to p goroutines over pooled
+// parallelDense is the parallel path of the dense and sparse engine. It
+// fans chunk accumulation out to p goroutines over pooled
 // full-range windows, then combines the regularized partials in a
 // log-depth tree of Lemma 1 carry-free merges (AddRegularized leaves its
 // result regularized, so levels compose). Consumed partials return to the
@@ -146,23 +147,6 @@ func parallelDense(xs []float64, p, chunk int, width uint) float64 {
 	v := root.Round()
 	putDense(root)
 	return v
-}
-
-// parallelSparse is the same shape with window accumulators at the leaves
-// and carry-free sparse merges up the tree.
-func parallelSparse(xs []float64, p, chunk int, width uint) float64 {
-	parts := fanOut(xs, p, chunk, func(cur *chunkCursor) *accum.Sparse {
-		a := accum.NewWindow(width)
-		for {
-			lo, hi, ok := cur.take()
-			if !ok {
-				break
-			}
-			a.AddSlice(xs[lo:hi])
-		}
-		return a.ToSparse()
-	})
-	return MergeTree(parts, accum.MergeSparse).Round()
 }
 
 // parallelEngine is the generic parallel path for any registered engine

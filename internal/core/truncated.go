@@ -38,5 +38,5 @@ func SumTruncated(xs []float64) float64 {
 	if t.StopFloat(len(xs)) && t.StopStrict() {
 		return t.S.Round()
 	}
-	return SumSparse(xs)
+	return Sum(xs)
 }

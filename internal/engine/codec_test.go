@@ -110,6 +110,40 @@ func TestPartialWireSplitMergeMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestNegativePartialsAreSigmaSized: a negative value's partial holds as
+// few components as its positive twin's, give or take one, in every wire
+// engine. Before, 'D' and 'N' expanded a negative top into a run reaching
+// the top of the digit range: −1 took 226 B, −1e−300 424 B.
+func TestNegativePartialsAreSigmaSized(t *testing.T) {
+	size := func(name string, x float64) int {
+		a := engine.MustGet(name).NewAccumulator()
+		a.Add(x)
+		blob, err := engine.MarshalPartial(name, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(blob)
+	}
+	for _, e := range wireEngines(t) {
+		for _, x := range []float64{1, 3.5, 1e-300, 1e300, math.MaxFloat64, 5e-324} {
+			// One more component costs at most 6 B at W = 32: a 1-byte
+			// index and a 5-byte digit.
+			if pos, neg := size(e.Name(), x), size(e.Name(), -x); neg > pos+6 {
+				t.Errorf("%s: %g takes %d B, %g %d B", e.Name(), -x, neg, x, pos)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x    float64
+		want int
+	}{{"dense", -1, 16}, {"sparse", -1, 17}, {"small", -1, 16}, {"dense", -1e-300, 28}} {
+		if got := size(c.name, c.x); got != c.want {
+			t.Errorf("%s: %g takes %d B, want %d", c.name, c.x, got, c.want)
+		}
+	}
+}
+
 func TestPartialWireRejectsBadEnvelopes(t *testing.T) {
 	e := engine.MustGet("dense")
 	acc := e.NewAccumulator()

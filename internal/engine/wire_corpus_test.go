@@ -8,6 +8,13 @@
 // Regenerate only for an intentional format change, and review the diff:
 //
 //	go test ./internal/engine -run TestWireCorpus -update-wire
+//
+// testdata/wire_partials_expanded.json is the same corpus as pinned
+// before 'D' and 'N' partials shipped a negative value's top collapsed:
+// there a negative value's top is the run (R−1, …, R−1, −1) reaching the
+// top of the digit range. Journals, snapshots and peers still hold such
+// bytes, so every one of them must decode to the value, and re-encode to
+// the bytes, pinned in the current corpus. It is never regenerated.
 package engine_test
 
 import (
@@ -29,7 +36,10 @@ import (
 
 var updateWire = flag.Bool("update-wire", false, "rewrite testdata/wire_partials.json from current behavior")
 
-const wireCorpusPath = "testdata/wire_partials.json"
+const (
+	wireCorpusPath   = "testdata/wire_partials.json"
+	wireExpandedPath = "testdata/wire_partials_expanded.json"
+)
 
 type wireCorpus struct {
 	Description string     `json:"description"`
@@ -214,18 +224,16 @@ func TestWireCorpus(t *testing.T) {
 		t.Logf("wrote %d cases to %s", len(cases), wireCorpusPath)
 		return
 	}
-	raw, err := os.ReadFile(wireCorpusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wc wireCorpus
-	if err := json.Unmarshal(raw, &wc); err != nil {
-		t.Fatal(err)
-	}
-	if len(wc.Cases) == 0 {
-		t.Fatal("empty wire corpus")
-	}
+	wc := loadWireCorpus(t, wireCorpusPath)
+	pinned := map[string]map[string]string{}
 	for _, c := range wc.Cases {
+		pinned[c.Name] = c.Partials
+		// dense and sparse are one engine under two names: their partials
+		// differ only in the envelope's name and the payload's kind byte.
+		d, s := payloadOf(c.Partials["dense"], "dense"), payloadOf(c.Partials["sparse"], "sparse")
+		if len(d) < 2 || len(d) != len(s) || d[0] != s[0] || d[1] != 'D' || s[1] != 'S' || !bytes.Equal(d[2:], s[2:]) {
+			t.Errorf("case %q: dense payload\n  %x\nis not the sparse payload\n  %x\napart from the kind byte", c.Name, d, s)
+		}
 		add, sub := c.inputs(t)
 		for _, name := range engines {
 			if _, ok := c.Partials[name]; !ok {
@@ -253,6 +261,65 @@ func TestWireCorpus(t *testing.T) {
 			}
 		}
 	}
+
+	for _, c := range loadWireCorpus(t, wireExpandedPath).Cases {
+		for name, oldHex := range c.Partials {
+			wantHex, ok := pinned[c.Name][name]
+			if !ok {
+				t.Errorf("expanded case %q engine %q: no current pinned bytes", c.Name, name)
+				continue
+			}
+			old, err := hex.DecodeString(oldHex)
+			if err != nil {
+				t.Fatalf("expanded case %q engine %q: %v", c.Name, name, err)
+			}
+			want, _ := hex.DecodeString(wantHex) // checked above
+			gotName, a, err := engine.UnmarshalPartial(old)
+			if err != nil || gotName != name {
+				t.Fatalf("expanded case %q engine %q: decodes as engine %q, %v", c.Name, name, gotName, err)
+			}
+			_, cur, err := engine.UnmarshalPartial(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := a.Round(), cur.Round(); !bitEqual(got, want) {
+				t.Errorf("expanded case %q engine %q: rounds to %x, current pinned partial to %x", c.Name, name, math.Float64bits(got), math.Float64bits(want))
+			}
+			again, err := engine.MarshalPartial(name, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, want) {
+				t.Errorf("expanded case %q engine %q: re-encodes to\n  %x\nwant pinned\n  %x", c.Name, name, again, want)
+			}
+		}
+	}
+}
+
+// payloadOf returns a pinned partial's payload: the bytes after the
+// envelope's magic, version, name length and name; nil if there are none.
+func payloadOf(hexPartial, name string) []byte {
+	b, _ := hex.DecodeString(hexPartial)
+	if len(b) < 3+len(name) {
+		return nil
+	}
+	return b[3+len(name):]
+}
+
+func loadWireCorpus(t *testing.T, path string) wireCorpus {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wc wireCorpus
+	if err := json.Unmarshal(raw, &wc); err != nil {
+		t.Fatal(err)
+	}
+	if len(wc.Cases) == 0 {
+		t.Fatalf("empty wire corpus %s", path)
+	}
+	return wc
 }
 
 // TestWireCanonicalAcrossHistories: the encoding is a function of the

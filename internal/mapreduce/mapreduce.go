@@ -36,11 +36,10 @@ import (
 // reducers.
 type AccKind int
 
-// The paper's two experimental variants plus a dense extension baseline.
+// The paper's two experimental variants.
 const (
 	SparseAcc AccKind = iota // sparse superaccumulator (the paper's method)
 	SmallAcc                 // Neal-style small superaccumulator
-	DenseAcc                 // dense (α,β)-regularized superaccumulator
 )
 
 // String names the variant as in the paper's figure legends.
@@ -50,8 +49,6 @@ func (k AccKind) String() string {
 		return "Sparse Superaccumulator"
 	case SmallAcc:
 		return "Small Superaccumulator"
-	case DenseAcc:
-		return "Dense Superaccumulator"
 	}
 	return fmt.Sprintf("AccKind(%d)", int(k))
 }
@@ -71,7 +68,7 @@ type Config struct {
 	// NoCombine disables the map-side combiner, shuffling raw elements to
 	// reducers instead (the unoptimized Section 6.1 algorithm; ablation).
 	NoCombine bool
-	// Width is the digit width for Sparse/Dense accumulators (0 = default).
+	// Width is the digit width for Sparse accumulators (0 = default).
 	Width uint
 	// Seed drives the random reducer assignment r(x).
 	Seed uint64
@@ -303,7 +300,6 @@ func splitmix(x uint64) uint64 {
 type payload struct {
 	sparse *accum.Sparse
 	small  *accum.Small
-	dense  *accum.Window
 	raw    []float64
 }
 
@@ -313,9 +309,6 @@ func (p payload) size() int {
 		return p.sparse.EncodedSize()
 	case p.small != nil:
 		return p.small.EncodedSize()
-	case p.dense != nil:
-		lo, hi := accum.DigitBounds(p.dense.Width())
-		return 8 * (hi - lo + 1) // a dense payload ships every digit of the range
 	default:
 		return 8 * len(p.raw)
 	}
@@ -333,10 +326,6 @@ func combine(split []float64, cfg Config) payload {
 		s := accum.NewSmall()
 		s.AddSlice(split)
 		return payload{small: s}
-	case DenseAcc:
-		d := accum.NewFullWindow(cfg.Width)
-		d.AddSlice(split)
-		return payload{dense: d}
 	}
 	panic("mapreduce: unknown AccKind")
 }
@@ -384,16 +373,6 @@ func reduce(ps []payload, cfg Config) payload {
 			}
 		}
 		return payload{small: root}
-	case DenseAcc:
-		root := accum.NewFullWindow(cfg.Width)
-		for _, p := range ps {
-			if p.raw != nil {
-				root.AddSlice(p.raw)
-			} else {
-				root.Merge(p.dense)
-			}
-		}
-		return payload{dense: root}
 	}
 	panic("mapreduce: unknown AccKind")
 }
@@ -422,14 +401,6 @@ func finish(ps []payload, cfg Config) (float64, int) {
 		for _, p := range ps {
 			if p.small != nil {
 				root.Merge(p.small)
-			}
-		}
-		return root.Round(), 0
-	case DenseAcc:
-		root := accum.NewFullWindow(cfg.Width)
-		for _, p := range ps {
-			if p.dense != nil {
-				root.Merge(p.dense)
 			}
 		}
 		return root.Round(), 0

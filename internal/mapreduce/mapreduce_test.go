@@ -9,7 +9,7 @@ import (
 	"parsum/internal/oracle"
 )
 
-var allKinds = []AccKind{SparseAcc, SmallAcc, DenseAcc}
+var allKinds = []AccKind{SparseAcc, SmallAcc}
 
 func TestRunExactOnDistributions(t *testing.T) {
 	for _, d := range gen.AllDists {
@@ -39,7 +39,7 @@ func TestRunDeterministicAcrossClusterSizes(t *testing.T) {
 
 func TestNoCombineShufflesRawRecords(t *testing.T) {
 	// Splits must be large enough that one accumulator payload beats raw
-	// records for every kind (a dense payload ships its whole digit range).
+	// records for every kind (a small payload ships its whole digit range).
 	xs := gen.New(gen.Config{Dist: gen.Random, N: 40000, Delta: 300, Seed: 6}).Slice()
 	want := oracle.Sum(xs)
 	for _, kind := range allKinds {
