@@ -321,6 +321,35 @@ func BenchmarkAddSlice(b *testing.B) {
 	})
 }
 
+// sumSink keeps BenchmarkSumSizes' results alive.
+var sumSink float64
+
+// BenchmarkSumSizes times the sequential core.Sum against parsum.Sum at
+// every power of two from 2^10 to 2^22 values (Random, δ = 2000).
+// parsum.Sum runs the same sequential code under two grains (2^15 values)
+// and splits longer inputs across up to GOMAXPROCS workers, so the
+// sizes either side of the split show whether the grain is right.
+// DESIGN.md §3's crossover table comes from this benchmark.
+func BenchmarkSumSizes(b *testing.B) {
+	all := dataset(gen.Random, 1<<22, 2000)
+	sums := []struct {
+		name string
+		f    func([]float64) float64
+	}{{"seq", core.Sum}, {"parsum", parsum.Sum}}
+	for e := 10; e <= 22; e++ {
+		xs := all[:1<<e]
+		for _, s := range sums {
+			b.Run(fmt.Sprintf("n=2^%d/%s", e, s.name), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * len(xs)))
+				for i := 0; i < b.N; i++ {
+					sumSink = s.f(xs)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkPublicAPI covers the exported surface.
 func BenchmarkPublicAPI(b *testing.B) {
 	xs := dataset(gen.Anderson, 1<<18, 1000)

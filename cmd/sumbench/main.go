@@ -46,7 +46,7 @@ func main() {
 		split     = flag.Int("split", 1<<20, "elements per input split")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
 		quick     = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
-		engines   = flag.String("engines", "dense,sparse,small", "engines for the parallel and stream figures")
+		engines   = flag.String("engines", "dense,small", "engines for the parallel and stream figures")
 		reps      = flag.Int("reps", 3, "repetitions per parallel/stream cell (best-of)")
 		slots     = flag.String("slots", "1,4,16", "slot-count sweep for the stream figure")
 		buckets   = flag.String("buckets", "1024,65536", "bucket-size (values per eviction) sweep for the stream figure")

@@ -28,6 +28,11 @@ func roundDigits(src []int64, minIdx int, w uint) float64 {
 	return roundDigitsTo(src, minIdx, w, fpnum.Binary64)
 }
 
+// roundBufLen is the stack buffer of roundDigitsTo: the 70 digits of a
+// full-range window at DefaultWidth plus the headroom digit, rounded up.
+// Narrower widths have more digits and take a heap copy.
+const roundBufLen = 80
+
 // roundDigitsTo implements steps 6–7 of the paper's PRAM algorithm for an
 // arbitrary destination format: a signed-carry propagation to a
 // non-redundant form, then a single round-to-nearest-even using the top
@@ -37,9 +42,17 @@ func roundDigits(src []int64, minIdx int, w uint) float64 {
 // digit set has R−1 < R values and is not complete for even R, so we
 // canonicalize to the complete non-redundant form [0, R−1] with a signed top
 // digit instead (same asymptotics, see DESIGN.md). The input digits may be
-// arbitrary int64 values; a headroom digit is added internally.
+// arbitrary int64 values; a headroom digit is added internally. The
+// working copy lives on the stack up to roundBufLen digits, which covers a
+// full-range window at DefaultWidth, so rounding one allocates nothing.
 func roundDigitsTo(src []int64, minIdx int, w uint, f fpnum.Format) float64 {
-	dig := make([]int64, len(src)+1)
+	var buf [roundBufLen]int64
+	var dig []int64
+	if len(src) < len(buf) {
+		dig = buf[:len(src)+1]
+	} else {
+		dig = make([]int64, len(src)+1)
+	}
 	copy(dig, src)
 	canonicalize(dig, w)
 

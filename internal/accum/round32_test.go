@@ -260,3 +260,39 @@ func TestRoundToFormatCustomWidth(t *testing.T) {
 		t.Fatalf("f16 below tie: got %g want 65504", got)
 	}
 }
+
+// TestRoundZeroAlloc pins that rounding a window at the canonical width
+// copies its digits to the stack, not the heap: the full-range window's
+// digits plus the headroom digit fit roundBufLen, and Round, Round32 and
+// Small's Round allocate nothing.
+func TestRoundZeroAlloc(t *testing.T) {
+	if lo, hi := digitBounds(DefaultWidth); hi-lo+2 > roundBufLen {
+		t.Fatalf("a full-range window at width %d has %d digits; roundBufLen %d cannot hold them and the headroom digit",
+			DefaultWidth, hi-lo+1, roundBufLen)
+	}
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = math.Ldexp(float64(i%61)-30.5, i%2000-1070)
+	}
+	full, grown, small := NewFullWindow(0), NewWindow(0), NewSmall()
+	for _, a := range []interface{ AddSlice([]float64) }{full, grown, small} {
+		a.AddSlice(xs)
+	}
+	want := full.Round()
+	if math.IsInf(want, 0) || math.IsNaN(want) {
+		t.Fatalf("sum %g is not finite, so rounding would skip the digits", want)
+	}
+	for name, round := range map[string]func() float64{
+		"full Window.Round":  full.Round,
+		"grown Window.Round": grown.Round,
+		"Window.Round32":     func() float64 { return float64(full.Round32()) },
+		"Small.Round":        small.Round,
+	} {
+		if avg := testing.AllocsPerRun(20, func() { round() }); avg != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, avg)
+		}
+	}
+	if grown.Round() != want || small.Round() != want {
+		t.Fatalf("rounded sums differ: full %g, grown %g, small %g", want, grown.Round(), small.Round())
+	}
+}

@@ -10,9 +10,10 @@ import (
 
 // The parallel hot path: workers pull fixed-size chunks off a shared
 // atomic cursor, accumulate them exactly into pooled per-worker
-// superaccumulators, and the partials combine in a log-depth merge tree.
-// Because every partial is exact, none of this — pool reuse, chunk size,
-// merge shape — can change the result; it only changes the speed.
+// superaccumulators, and the partials combine in a log-depth merge tree
+// run by the caller. Because every partial is exact, none of this — pool
+// reuse, worker count, chunk size, merge shape — can change the result;
+// it only changes the speed.
 
 const (
 	minAutoChunk    = 1 << 12
@@ -78,75 +79,74 @@ func (c *chunkCursor) take() (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// fanOut runs p workers over a shared chunk cursor on xs; each worker
-// produces one partial via the worker function (which pulls ranges off
-// cur until it is drained).
-func fanOut[T any](xs []float64, p, chunk int, worker func(cur *chunkCursor) T) []T {
-	cur := &chunkCursor{chunk: chunk, n: len(xs)}
+// fanOut runs p workers over a shared cursor on an n-element input, one
+// of them in the calling goroutine; each worker produces one partial via
+// the worker function (which pulls ranges off cur until it is drained).
+// It takes the element count, not the slice, so float64 and float32
+// leaves share it. p must be at least 1 and at most the chunk count
+// (Options.plan caps it), so no worker starts with nothing to take.
+func fanOut[T any](n, p, chunk int, worker func(cur *chunkCursor) T) []T {
+	cur := &chunkCursor{chunk: chunk, n: n}
 	parts := make([]T, p)
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
 			parts[w] = worker(cur)
 		}(w)
 	}
+	parts[0] = worker(cur)
 	wg.Wait()
 	return parts
 }
 
-// MergeTree reduces partials in ⌈log2 p⌉ parallel levels (replacing the
-// linear merge chain): level k combines parts[i] with parts[i+half] for
-// all i concurrently. merge must be safe to run on disjoint pairs in
-// parallel and may consume its second argument. Exported so other layers
-// that hold exact partials (the sharded ingestion layer in
-// internal/shard) combine them through the same log-depth Lemma 1 tree.
-// parts must be non-empty; the slice is clobbered.
+// MergeTree reduces partials in ⌈log2 p⌉ levels: level k folds
+// parts[i+half] into parts[i] for every i. It runs every merge in the
+// calling goroutine: a Lemma 1 merge of two windows takes less time than
+// handing the pair to a goroutine (DESIGN.md §3), and merges are exact,
+// so neither the pairing nor the order can change the bits. merge may
+// consume its second argument. Exported so other layers that hold exact
+// partials (the sharded ingestion layer in internal/shard, the sliding
+// window in internal/stream) combine them through the same tree. parts
+// must be non-empty; the slice is clobbered.
 func MergeTree[T any](parts []T, merge func(dst, src T) T) T {
 	for len(parts) > 1 {
 		half := (len(parts) + 1) / 2
-		var wg sync.WaitGroup
 		for i := 0; i+half < len(parts); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				parts[i] = merge(parts[i], parts[i+half])
-			}(i)
+			parts[i] = merge(parts[i], parts[i+half])
 		}
-		wg.Wait()
 		parts = parts[:half]
 	}
 	return parts[0]
 }
 
-// parallelDense is the parallel path of the dense and sparse engine. It
-// fans chunk accumulation out to p goroutines over pooled
-// full-range windows, then combines the regularized partials in a
-// log-depth tree of Lemma 1 carry-free merges (AddRegularized leaves its
-// result regularized, so levels compose). Consumed partials return to the
-// pool as soon as they are merged.
-func parallelDense(xs []float64, p, chunk int, width uint) float64 {
-	parts := fanOut(xs, p, chunk, func(cur *chunkCursor) *accum.Window {
+// parallelDense is the parallel path of the dense and sparse engine, for
+// float64 and float32 input alike. It fans chunk accumulation out to p
+// workers over pooled full-range windows (add accumulates elements
+// [lo, hi) of the caller's input into one), then combines the
+// regularized partials in the Lemma 1 merge tree (AddRegularized leaves
+// its result regularized, so levels compose). Consumed partials return
+// to the pool as soon as they are merged; the caller rounds the root and
+// returns it with putDense.
+func parallelDense(n, p, chunk int, width uint, add func(d *accum.Window, lo, hi int)) *accum.Window {
+	parts := fanOut(n, p, chunk, func(cur *chunkCursor) *accum.Window {
 		d := getDense(width)
 		for {
 			lo, hi, ok := cur.take()
 			if !ok {
 				break
 			}
-			d.AddSlice(xs[lo:hi])
+			add(d, lo, hi)
 		}
 		d.Regularize()
 		return d
 	})
-	root := MergeTree(parts, func(dst, src *accum.Window) *accum.Window {
+	return MergeTree(parts, func(dst, src *accum.Window) *accum.Window {
 		dst.AddRegularized(src)
 		putDense(src)
 		return dst
 	})
-	v := root.Round()
-	putDense(root)
-	return v
 }
 
 // parallelEngine is the generic parallel path for any registered engine
@@ -154,7 +154,7 @@ func parallelDense(xs []float64, p, chunk int, width uint) float64 {
 // (exact) merges: per-worker accumulators over the shared chunk cursor,
 // then the same log-depth merge tree through the engine interface.
 func parallelEngine(xs []float64, e engine.Engine, p, chunk int) float64 {
-	parts := fanOut(xs, p, chunk, func(cur *chunkCursor) engine.Accumulator {
+	parts := fanOut(len(xs), p, chunk, func(cur *chunkCursor) engine.Accumulator {
 		a := e.NewAccumulator()
 		for {
 			lo, hi, ok := cur.take()

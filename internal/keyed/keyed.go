@@ -20,8 +20,8 @@
 // partition is a mutex-guarded map[string]accumulator whose values are
 // recycled through a sync.Pool (the fresh/recycle pattern of
 // shard.Sharded), so churn from Reset/DeleteRange does not thrash the
-// allocator. Batched ingestion (AddKeyedBatches) groups a whole flush by
-// partition and takes each partition lock once — the batcher's
+// allocator. Batched ingestion (AddKeyedBatches) sorts a whole flush by
+// partition in place and takes each partition lock once — the batcher's
 // group-commit flush applies with at most N lock acquisitions however
 // many requests it coalesced.
 package keyed
@@ -29,6 +29,7 @@ package keyed
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -160,13 +161,16 @@ func checkKey(key string) {
 
 // part returns the partition owning key (FNV-1a 64; stable across
 // processes, though nothing on the wire depends on it).
-func (s *Store) part(key string) *partition {
+func (s *Store) part(key string) *partition { return &s.parts[s.partIndex(key)] }
+
+// partIndex hashes key (FNV-1a) onto its partition's index.
+func (s *Store) partIndex(key string) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return &s.parts[h%uint64(len(s.parts))]
+	return int(h % uint64(len(s.parts)))
 }
 
 func (s *Store) fresh() engine.Accumulator {
@@ -337,19 +341,21 @@ func (s *Store) DeleteRange(lo, hi string) int {
 }
 
 // AddKeyedBatches accumulates a whole group of keyed batches with one
-// lock acquisition per touched partition: the group is bucketed by
-// partition first, then each partition applies its share under one lock.
+// lock acquisition per touched partition: the group is sorted by
+// partition in place, then each partition applies its run under one lock.
 // This is the batcher's keyed flush entry point (batch.KeyedSink) — a
 // coalesced flush of hundreds of requests costs at most Partitions()
-// lock hops. Exactness is unaffected: every value still lands in exactly
-// one key's accumulator.
+// lock hops and no allocation. The sort reorders bs's headers, never a
+// batch's values, and exactness makes the order of applies invisible:
+// every value still lands in exactly one key's accumulator.
 func (s *Store) AddKeyedBatches(bs []Batch) {
 	s.applyGrouped(bs, false)
 }
 
 // SubKeyedBatches deletes a whole group of keyed batches, grouped by
-// partition like AddKeyedBatches — the deletion half of the keyed flush
-// entry point. Panics when the engine is not Invertible.
+// partition like AddKeyedBatches (and likewise reordering bs) — the
+// deletion half of the keyed flush entry point. Panics when the engine
+// is not Invertible.
 func (s *Store) SubKeyedBatches(bs []Batch) {
 	s.checkInvertible()
 	s.applyGrouped(bs, true)
@@ -360,7 +366,7 @@ func (s *Store) applyGrouped(bs []Batch, sub bool) {
 		return
 	}
 	if len(bs) == 1 {
-		// A group of one, as every sync write is, needs no bucketing.
+		// A group of one, as every sync write is, needs no grouping.
 		if sub {
 			s.Sub(bs[0].Key, bs[0].Values)
 		} else {
@@ -371,22 +377,19 @@ func (s *Store) applyGrouped(bs []Batch, sub bool) {
 	for _, b := range bs {
 		checkKey(b.Key)
 	}
-	// Bucket the group by partition index, then take each partition lock
-	// once. The per-call bucket slices are small (one header per batch)
-	// and die young.
-	buckets := make(map[*partition][]Batch, len(s.parts))
-	for _, b := range bs {
-		p := s.part(b.Key)
-		buckets[p] = append(buckets[p], b)
-	}
-	for p, group := range buckets {
+	// Sort the headers by partition, then take each partition's lock
+	// once for its run.
+	slices.SortFunc(bs, func(a, b Batch) int { return s.partIndex(a.Key) - s.partIndex(b.Key) })
+	for i := 0; i < len(bs); {
+		pi := s.partIndex(bs[i].Key)
+		p := &s.parts[pi]
 		p.mu.Lock()
-		for _, b := range group {
-			a := s.acc(p, b.Key)
+		for ; i < len(bs) && s.partIndex(bs[i].Key) == pi; i++ {
+			a := s.acc(p, bs[i].Key)
 			if sub {
-				a.(engine.Inverter).SubSlice(b.Values)
+				a.(engine.Inverter).SubSlice(bs[i].Values)
 			} else {
-				a.AddSlice(b.Values)
+				a.AddSlice(bs[i].Values)
 			}
 		}
 		p.mu.Unlock()

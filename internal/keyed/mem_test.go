@@ -83,3 +83,23 @@ func TestAddExistingKeyZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupedFlushZeroAlloc: a keyed flush of several batches to
+// existing keys groups them by partition in place, so neither adding nor
+// deleting the group allocates, whatever its size.
+func TestGroupedFlushZeroAlloc(t *testing.T) {
+	xs := wideValues(64)
+	s := mustNew(t, "dense", 2)
+	for _, n := range []int{2, 8, 32} {
+		group := make([]Batch, n)
+		for i := range group {
+			group[i] = Batch{Key: fmt.Sprintf("k%d", i%11), Values: xs}
+		}
+		s.AddKeyedBatches(group) // create the keys
+		for name, apply := range map[string]func([]Batch){"add": s.AddKeyedBatches, "sub": s.SubKeyedBatches} {
+			if avg := testing.AllocsPerRun(50, func() { apply(group) }); avg != 0 {
+				t.Errorf("%s of a group of %d batches allocates %.1f times per call, want 0", name, n, avg)
+			}
+		}
+	}
+}

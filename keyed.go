@@ -90,11 +90,13 @@ func (k *Keyed) DeleteRange(lo, hi string) int { return k.s.DeleteRange(lo, hi) 
 
 // AddKeyedBatches accumulates a group of keyed batches with one lock
 // acquisition per touched partition — the batch.KeyedSink flush entry
-// point.
+// point. It groups bs by sorting it in place; the batches' values are
+// untouched.
 func (k *Keyed) AddKeyedBatches(bs []KeyedBatch) { k.s.AddKeyedBatches(bs) }
 
-// SubKeyedBatches deletes a group of keyed batches, grouped like
-// AddKeyedBatches. Panics when the engine is not Invertible.
+// SubKeyedBatches deletes a group of keyed batches, grouped (and bs
+// reordered) like AddKeyedBatches. Panics when the engine is not
+// Invertible.
 func (k *Keyed) SubKeyedBatches(bs []KeyedBatch) { k.s.SubKeyedBatches(bs) }
 
 // Merge folds every key of o into k; o is unchanged. Mixing engines

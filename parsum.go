@@ -8,8 +8,12 @@
 //
 // Quick start:
 //
-//	sum := parsum.Sum(xs)                       // exact, correctly rounded
+//	sum := parsum.Sum(xs)                       // exact, correctly rounded, on every core
 //	sum  = parsum.SumParallel(xs, parsum.Options{Workers: 8})
+//
+// Sum splits large inputs across GOMAXPROCS goroutines and sums small ones
+// (below 2^15 values) in the calling goroutine; SumParallel fixes the
+// worker count. Every split gives the same bits.
 //
 // For streaming accumulation:
 //
@@ -59,9 +63,15 @@ type AdaptiveStats = core.AdaptiveStats
 // follow IEEE semantics: any NaN, or both +Inf and −Inf, yield NaN; a
 // single-signed infinity dominates. The exact sum of an empty or fully
 // cancelling input is +0.
-func Sum(xs []float64) float64 { return core.Sum(xs) }
+//
+// Sum is SumParallel with the zero Options: it gives each of up to
+// GOMAXPROCS goroutines at least 2^14 values, and sums inputs shorter than
+// 2^15 values in the calling goroutine without allocating. The bits do not
+// depend on the worker count.
+func Sum(xs []float64) float64 { return core.SumParallel(xs, core.Options{}) }
 
-// SumParallel is Sum computed by opt.Workers goroutines. The result is
+// SumParallel is Sum computed by up to opt.Workers goroutines, at most one
+// per chunk; Workers 0 picks the count as Sum does. The result is
 // bit-identical to Sum for every worker count, chunk size, and merge
 // order.
 func SumParallel(xs []float64, opt Options) float64 { return core.SumParallel(xs, opt) }
@@ -414,8 +424,10 @@ func MapReduceSum(xs []float64, cfg MRConfig) MRResult { return mapreduce.Run(xs
 
 // Sum32 returns the correctly rounded float32 sum of xs. The accumulation
 // is exact and the single rounding targets binary32 directly, avoiding the
-// double rounding of "sum in float64, then convert".
-func Sum32(xs []float32) float32 { return core.Sum32(xs) }
+// double rounding of "sum in float64, then convert". Like Sum, it splits
+// large inputs across up to GOMAXPROCS goroutines through the same tree,
+// with the same bits for every split.
+func Sum32(xs []float32) float32 { return core.SumParallel32(xs, core.Options{}) }
 
 // Round32 returns the correctly rounded float32 value of the exact sum
 // accumulated so far (one rounding, directly to binary32) for engines

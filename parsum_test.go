@@ -33,6 +33,21 @@ func TestPublicSumAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestSumBelowGrainZeroAlloc pins that Sum on an input too short to split
+// (two grains of 2^14 values, less one) runs in the calling goroutine
+// from a pooled window and allocates nothing, rounding included.
+func TestSumBelowGrainZeroAlloc(t *testing.T) {
+	xs := gen.New(gen.Config{Dist: gen.Random, N: 1<<15 - 1, Delta: 2000, Seed: 3}).Slice()
+	want := oracle.Sum(xs)
+	if avg := testing.AllocsPerRun(20, func() {
+		if got := parsum.Sum(xs); got != want {
+			t.Fatalf("Sum=%g oracle=%g", got, want)
+		}
+	}); avg != 0 {
+		t.Fatalf("Sum of %d values allocates %.1f times per call, want 0", len(xs), avg)
+	}
+}
+
 func TestAccumulatorLifecycle(t *testing.T) {
 	a := parsum.NewAccumulator()
 	a.Add(1e100)
